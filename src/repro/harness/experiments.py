@@ -73,7 +73,16 @@ class TGFlowResult:
 
     @property
     def gain(self) -> float:
-        """Wall-clock speedup, Table 2's "Gain" column."""
+        """Wall-clock speedup, Table 2's "Gain" column.
+
+        Divides ``ref_wall``, the wall time of the *traced* reference
+        run (cores simulated with trace collection on), by ``tg_wall``,
+        the wall time of the TG run only: translation, assembly and the
+        TG platform build are not counted (a warm-up-restored run counts
+        its restore).  Tracing makes the reference run slower than an
+        untraced core run, so this is not the paper-protocol gain
+        (untraced ARM wall time ÷ TG wall time).
+        """
         return self.ref_wall / self.tg_wall if self.tg_wall > 0 else 0.0
 
     @property

@@ -1,5 +1,6 @@
 """Global address decoding shared by all fabrics."""
 
+from bisect import bisect_right
 from typing import List, Optional
 
 from repro.ocp.types import OCPError, Request, WORD_BYTES
@@ -39,6 +40,7 @@ class AddressMap:
 
     def __init__(self) -> None:
         self._ranges: List[AddressRange] = []
+        self._bases: List[int] = []  # sorted range bases, for bisect
 
     def add(self, base: int, size: int, slave_port, name: str = "") -> AddressRange:
         """Map ``slave_port`` at ``[base, base+size)``; rejects overlaps."""
@@ -48,6 +50,7 @@ class AddressMap:
                 raise OCPError(f"{new!r} overlaps {existing!r}")
         self._ranges.append(new)
         self._ranges.sort(key=lambda r: r.base)
+        self._bases = [range_.base for range_ in self._ranges]
         return new
 
     @property
@@ -55,11 +58,16 @@ class AddressMap:
         return list(self._ranges)
 
     def find(self, addr: int) -> Optional[AddressRange]:
-        """Range containing ``addr``, or None."""
-        for range_ in self._ranges:
-            if range_.contains(addr):
-                return range_
-        return None
+        """Range containing ``addr``, or None.
+
+        Ranges never overlap, so the only candidate is the one with the
+        greatest base ``<= addr``.
+        """
+        index = bisect_right(self._bases, addr) - 1
+        if index < 0:
+            return None
+        range_ = self._ranges[index]
+        return range_ if addr < range_.base + range_.size else None
 
     def decode(self, request: Request) -> AddressRange:
         """Resolve a request to its slave; the whole burst must fit."""

@@ -30,6 +30,7 @@ from repro.ocp.types import OCPError, Request, Response
 #: Router port identifiers.
 LOCAL, NORTH, SOUTH, EAST, WEST = "L", "N", "S", "E", "W"
 _OPPOSITE = {NORTH: SOUTH, SOUTH: NORTH, EAST: WEST, WEST: EAST}
+_STEP = {EAST: (1, 0), WEST: (-1, 0), SOUTH: (0, 1), NORTH: (0, -1)}
 
 
 class Packet:
@@ -115,7 +116,12 @@ _ROUTERS_BY_NAME = {"xy": xy_route, "yx": yx_route}
 
 
 class Router:
-    """Input-buffered wormhole router at one mesh coordinate."""
+    """Input-buffered wormhole router at one mesh coordinate.
+
+    ``links`` maps each output port to its downstream FIFO (None off the
+    mesh); LOCAL maps to ``(slave NI rx, master NI rx)`` for requests and
+    responses.  ``XpipesNoc.build()`` fills it in.
+    """
 
     def __init__(self, sim: Simulator, noc: "XpipesNoc",
                  coords: Tuple[int, int], fifo_depth: int):
@@ -123,6 +129,7 @@ class Router:
         self.noc = noc
         self.coords = coords
         self.inputs: Dict[str, Fifo] = {}
+        self.links: Dict[str, object] = {}
         self._output_busy: Dict[str, bool] = {}
         self._output_free: Dict[str, object] = {}
         self._procs: Dict[str, object] = {}
@@ -139,42 +146,65 @@ class Router:
                 self._input_process(port),
                 name=f"router{self.coords}.fw[{port}]")
 
-    def _acquire_output(self, port: str):
-        while self._output_busy[port]:
-            yield self._output_free[port]
-        self._output_busy[port] = True
-
-    def _release_output(self, port: str) -> None:
-        self._output_busy[port] = False
-        self._output_free[port].notify()
-
     def _input_process(self, in_port: str):
-        """Forward packets arriving on one input, one at a time (wormhole)."""
+        """Forward packets arriving on one input, one at a time (wormhole).
+
+        Flits move by direct deque operations, yielding a FIFO signal only
+        to wait, exactly where ``Fifo.get``/``put`` would: their event
+        schedule without their per-flit frames.  ``len == capacity`` is
+        the full test (FIFOs never overfill; unbounded ones have None).
+        """
+        coords = self.coords
+        noc = self.noc
         fifo = self.inputs[in_port]
+        items = fifo._items
+        out_port = None  # the output the packet in flight holds
         while True:
-            head = yield from fifo.get()
-            if not head.is_head:
-                raise OCPError(f"router {self.coords}: expected head flit, "
-                               f"got {head!r}")
-            out_port = self.noc.route(self.coords, head.packet.dest)
-            yield from self._acquire_output(out_port)
-            injector = self.noc.fault_injector
-            if injector is not None:
-                # per-hop link fault: jitter/stall charged once per packet
-                # traversal of this router (wormhole: the whole packet is
-                # held up with its head)
-                stall = injector.hop_delay(self.noc.name)
-                if stall:
-                    yield stall
-            flit = head
-            while True:
-                yield 1  # switch + link traversal, one cycle per flit
-                yield from self.noc._deliver(self.coords, out_port, flit)
-                self.flits_routed += 1
-                if flit.is_tail:
-                    break
-                flit = yield from fifo.get()
-            self._release_output(out_port)
+            while not items:
+                yield fifo._not_empty
+            flit = items.popleft()
+            if fifo._not_full._waiters:
+                fifo._not_full.notify()
+            if out_port is None:
+                if flit.index != 0:
+                    raise OCPError(f"router {coords}: expected head flit, "
+                                   f"got {flit!r}")
+                packet = flit.packet
+                out_port = noc.route(coords, packet.dest)
+                while self._output_busy[out_port]:
+                    yield self._output_free[out_port]
+                self._output_busy[out_port] = True
+                injector = noc.fault_injector
+                if injector is not None:
+                    # per-hop link fault: jitter/stall charged once per
+                    # packet traversal of this router (wormhole: the whole
+                    # packet is held up with its head)
+                    stall = injector.hop_delay(noc.name)
+                    if stall:
+                        yield stall
+                down = self.links[out_port]
+                if out_port == LOCAL:
+                    down = down[0] if packet.is_request else down[1]
+                last = packet.flit_count - 1
+            yield 1  # switch + link traversal, one cycle per flit
+            if down is None:
+                if out_port != LOCAL:
+                    raise OCPError(f"flit routed off-mesh at {coords} "
+                                   f"via {out_port}")
+                kind = "slave" if packet.is_request else "master"
+                raise OCPError(f"no {kind} NI at {coords}")
+            while len(down._items) == down.capacity:
+                yield down._not_full
+            down._items.append(flit)
+            if down._not_empty._waiters:
+                down._not_empty.notify()
+            self.flits_routed += 1
+            if flit.index == last:
+                self._output_busy[out_port] = False
+                free = self._output_free[out_port]
+                if free._waiters:
+                    free.notify()
+                out_port = None
 
 
 class NetworkInterface:
@@ -201,21 +231,31 @@ class NetworkInterface:
             yield self._tx_free
         self._tx_busy = True
         try:
-            router = self.noc._routers[self.coords]
+            fifo = self.noc._routers[self.coords].inputs[LOCAL]
+            items = fifo._items
             for index in range(packet.flit_count):
                 yield 1
-                yield from router.inputs[LOCAL].put(Flit(packet, index))
+                while len(items) == fifo.capacity:
+                    yield fifo._not_full
+                items.append(Flit(packet, index))
+                if fifo._not_empty._waiters:
+                    fifo._not_empty.notify()
         finally:
             self._tx_busy = False
             self._tx_free.notify()
 
     def _receive_packet(self):
         """Collect one whole packet from the local router (generator)."""
-        head = yield from self.receive_fifo.get()
-        flit = head
-        while not flit.is_tail:
-            flit = yield from self.receive_fifo.get()
-        return head.packet
+        fifo = self.receive_fifo
+        items = fifo._items
+        while True:
+            while not items:
+                yield fifo._not_empty
+            flit = items.popleft()
+            if fifo._not_full._waiters:
+                fifo._not_full.notify()
+            if flit.index == flit.packet.flit_count - 1:
+                return flit.packet
 
 
 class MasterNI(NetworkInterface):
@@ -383,7 +423,16 @@ class XpipesNoc(Fabric):
                          f"{self.name}.sni[{slave_port.name}]", slave_port)
             self._slave_coords[id(slave_port)] = coords
             self._slave_nis.append(ni)
-        for router in self._routers.values():
+        slave_rx = {ni.coords: ni.receive_fifo for ni in self._slave_nis}
+        master_rx = {ni.coords: ni.receive_fifo
+                     for ni in self._master_nis.values()}
+        for (x, y), router in self._routers.items():
+            router.links[LOCAL] = (slave_rx.get((x, y)),
+                                   master_rx.get((x, y)))
+            for port, (dx, dy) in _STEP.items():
+                neighbour = self._routers.get((x + dx, y + dy))
+                router.links[port] = (None if neighbour is None else
+                                      neighbour.inputs[_OPPOSITE[port]])
             router.start()
         self._built = True
 
@@ -436,36 +485,6 @@ class XpipesNoc(Fabric):
     @property
     def total_flits_routed(self) -> int:
         return sum(r.flits_routed for r in self._routers.values())
-
-    def _deliver(self, coords: Tuple[int, int], out_port: str, flit: Flit):
-        """Hand a flit to the downstream FIFO of ``out_port`` (generator)."""
-        if out_port == LOCAL:
-            packet = flit.packet
-            if packet.is_request:
-                target = self._slave_nis_by_coords(coords)
-            else:
-                target = self._master_ni_by_coords(coords)
-            yield from target.receive_fifo.put(flit)
-            return
-        x, y = coords
-        step = {EAST: (1, 0), WEST: (-1, 0), SOUTH: (0, 1), NORTH: (0, -1)}
-        dx, dy = step[out_port]
-        neighbour = self._routers.get((x + dx, y + dy))
-        if neighbour is None:
-            raise OCPError(f"flit routed off-mesh at {coords} via {out_port}")
-        yield from neighbour.inputs[_OPPOSITE[out_port]].put(flit)
-
-    def _slave_nis_by_coords(self, coords):
-        for ni in self._slave_nis:
-            if ni.coords == coords:
-                return ni
-        raise OCPError(f"no slave NI at {coords}")
-
-    def _master_ni_by_coords(self, coords):
-        for ni in self._master_nis.values():
-            if ni is not None and ni.coords == coords:
-                return ni
-        raise OCPError(f"no master NI at {coords}")
 
     # ----------------------------------------------------------- checkpoint
 

@@ -25,15 +25,20 @@ Backends:
 
 ``"classic"``
     :class:`~repro.kernel.event.EventQueue` — one binary heap of
-    ``Event`` objects, totally ordered by ``(time, priority, seq)``.
-    The default; every historical result was produced on it.
+    ``(time, priority, seq, target, event)`` tuples with in-line process
+    resumes.  The default; every historical result was produced on it.
 
 ``"fast"``
     :class:`~repro.kernel.calendar.CalendarQueue` — slot-indexed calendar
     queue with batched same-cycle dispatch and allocation-free process
     resumes.  Same observable behaviour (event order, times, counters
-    that describe the *simulation* rather than the engine), roughly 3-5x
-    the event throughput.
+    that describe the *simulation* rather than the engine).  On kernel
+    microbenchmarks (``benchmarks/kernel_perf.py``) it fires events
+    1.3-2.4x faster (0.9x on ``timeout_churn``), but end to end the two engines are at parity within
+    host noise: TG build + run of TLM-traced mp_matrix 4P n=8 (the
+    perfbench replay phase, best of 9, 2-vCPU KVM host, CPython 3.11)
+    measured fast/classic 0.8-1.0x on AHB, STBus and xpipes, and
+    0.9-1.2x on the untraced ARM reference run.
 
 Both backends fire the same events in the same order at the same cycles,
 so ``Simulator(backend="fast")`` reproduces classic results bit for bit

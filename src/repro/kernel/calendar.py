@@ -1,20 +1,19 @@
 """Calendar-queue kernel backend: batched same-cycle event dispatch.
 
 The classic backend (:class:`repro.kernel.event.EventQueue`) pays a binary
-heap ``heappush``/``heappop`` — with Python-level ``Event.__lt__`` calls —
-for *every* event.  This backend exploits two properties of our workloads:
+heap ``heappush``/``heappop`` of a tuple entry for *every* event.  This
+backend exploits two properties of our workloads:
 
 * almost all events land a handful of distinct cycles ahead (sleeps of a
   few cycles, zero-delay notifies), so a ``dict`` keyed by absolute cycle
-  with a tiny int-heap of distinct bucket times replaces the event heap:
-  every comparison is a C-speed int compare, and same-cycle events cost a
-  plain ``list.append``;
+  with a tiny int-heap of distinct bucket times replaces the event heap,
+  and same-cycle events cost a plain ``list.append``;
 * the vast majority of scheduled callbacks are *process resumes* that are
   never cancelled, so they are stored as bare :class:`Process` objects (or
   ``(process, payload)`` pairs) instead of :class:`Event` handles — no
   allocation on the hot path — and the drain loop advances the generator
   in line instead of bouncing through ``Event.fn`` -> ``_resume`` ->
-  ``_dispatch`` call frames.
+  ``_dispatch`` call frames (the classic backend does the same).
 
 Dispatch drains a whole timestamp bucket per outer-loop iteration
 (batched same-cycle execution).  A bucket holding a single entry is stored
@@ -43,7 +42,7 @@ import heapq
 from typing import Callable, Optional, Tuple
 
 from repro.kernel.errors import SimulationError
-from repro.kernel.event import Event, PendingEntry, _classify_entry
+from repro.kernel.event import Event, _classify_entry, _fire_for
 from repro.kernel.process import Process
 
 
@@ -434,17 +433,6 @@ class CalendarQueue:
 
     # ------------------------------------------------------ incremental pops
 
-    def _fire_for(self, entry) -> Callable[[], None]:
-        """Wrap a bucket entry as the zero-arg callable step()/bounded
-        run() expect."""
-        cls = entry.__class__
-        if cls is Process:
-            return entry._resume
-        if cls is tuple:
-            process, payload = entry
-            return lambda: process._resume(payload)
-        return entry
-
     def pop_entry(self) -> Optional[Tuple[int, Callable[[], None]]]:
         """Remove the earliest live entry as ``(time, fire)``, or None."""
         buckets = self._buckets
@@ -464,7 +452,7 @@ class CalendarQueue:
                         continue
                     entry._queue = None
                     return time, entry.fn
-                return time, self._fire_for(entry)
+                return time, _fire_for(entry)
             if bucket:
                 if self._mixed:
                     heapq.heapify(bucket)
@@ -478,7 +466,7 @@ class CalendarQueue:
                             entry._queue = None
                             fire = entry.fn
                         else:
-                            fire = self._fire_for(entry)
+                            fire = _fire_for(entry)
                         if not bucket:
                             heapq.heappop(times)
                             del buckets[time]
@@ -497,7 +485,7 @@ class CalendarQueue:
                             entry._queue = None
                             fire = entry.fn
                         else:
-                            fire = self._fire_for(entry)
+                            fire = _fire_for(entry)
                         self._size -= 1
                         if index < length:
                             heads[time] = index
@@ -541,20 +529,11 @@ class CalendarQueue:
                 items = [item for _, _, item in sorted(
                     keyed, key=lambda key: (key[0], key[1]))]
             for entry in items:
-                cls = entry.__class__
-                if cls is Event:
+                if entry.__class__ is Event:
                     if entry.cancelled:
                         continue
-                    entries.append(_classify_entry(time, entry.fn))
-                elif cls is Process:
-                    entries.append(PendingEntry(time, entry))
-                elif cls is tuple:
-                    # payload-carrying resume: opaque, never claimable
-                    entries.append(PendingEntry(time, None))
-                else:
-                    # bare callable (push_fn fast path): expose for
-                    # identity-based claims
-                    entries.append(PendingEntry(time, None, entry))
+                    entry = entry.fn
+                entries.append(_classify_entry(time, entry))
         return entries
 
     def peek_time(self) -> Optional[int]:

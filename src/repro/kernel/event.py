@@ -19,6 +19,8 @@ carry thousands of dead entries through every heap operation.
 import heapq
 from typing import Callable, List, NamedTuple, Optional
 
+from repro.kernel.process import Process
+
 #: Compact only when the heap is at least this large; below it the
 #: tombstone overhead is noise and rebuilding would churn.
 _COMPACT_MIN_SIZE = 64
@@ -44,23 +46,32 @@ class PendingEntry(NamedTuple):
     fn: Optional[Callable] = None
 
 
-def _classify_entry(time: int, fn: Callable) -> PendingEntry:
-    """Map a scheduled callable to a :class:`PendingEntry`.
+def _classify_entry(time: int, target) -> PendingEntry:
+    """Map what a queue entry fires to a :class:`PendingEntry`.
 
-    A bound ``Process._resume`` method is the signature of ``yield n`` /
-    ``spawn(delay=...)`` — a payload-free sleep.  Payload resumes are
-    closures (classic) or tuples (calendar) and stay opaque.
+    A bare :class:`~repro.kernel.process.Process` is a payload-free resume
+    and re-armable.  A ``(process, payload)`` pair is opaque and never
+    claimable.  A callable is opaque but exposed as ``fn`` for
+    identity-based claims.
     """
-    from repro.kernel.process import Process
-    owner = getattr(fn, "__self__", None)
-    if isinstance(owner, Process) and \
-            getattr(fn, "__func__", None) is Process._resume:
-        return PendingEntry(time, owner)
-    if getattr(fn, "_payload_resume", False):
-        # payload-carrying resume: opaque, never claimable (parity with
-        # the calendar backend's tuple entries)
+    cls = target.__class__
+    if cls is Process:
+        return PendingEntry(time, target)
+    if cls is tuple:
         return PendingEntry(time, None)
-    return PendingEntry(time, None, fn)
+    return PendingEntry(time, None, target)
+
+
+def _fire_for(target) -> Callable[[], None]:
+    """Wrap what a queue entry fires as the zero-argument callable
+    ``step()`` and the bounded ``run()`` loop expect."""
+    cls = target.__class__
+    if cls is Process:
+        return target._resume
+    if cls is tuple:
+        process, payload = target
+        return lambda: process._resume(payload)
+    return target
 
 
 class Event:
@@ -98,25 +109,32 @@ class Event:
             self._queue = None
             queue._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time} prio={self.priority} seq={self.seq}{state}>"
 
 
 class EventQueue:
-    """Binary-heap priority queue of :class:`Event` objects.
+    """Binary-heap priority queue of scheduled callbacks and resumes.
 
-    ``len(queue)`` counts *live* (non-cancelled) events only.  Perf
+    Heap entries are ``(time, priority, seq, target, event)`` tuples, so
+    ``heapq`` orders them with C-level int compares (``seq`` is unique,
+    the comparison never reaches ``target``).  ``target`` is what fires:
+
+    * a zero-argument callable (``push``/``push_fn``);
+    * a bare :class:`~repro.kernel.process.Process` — a payload-free
+      resume (``yield n``, a signal notify without payload, a spawn);
+    * a ``(process, payload)`` pair — a payload-carrying resume.
+
+    ``event`` is the cancellable :class:`Event` handle ``push()`` returns,
+    or None for the handle-free ``push_fn``/``push_resume`` entries, which
+    therefore allocate nothing but the tuple.
+
+    ``len(queue)`` counts *live* (non-cancelled) entries only.  Perf
     counters (:attr:`events_cancelled`, :attr:`compactions`,
     :attr:`peak_size`) are cumulative over the queue's lifetime and feed
-    the simulator's ``kernel_counters()``.
+    the simulator's ``kernel_counters()``; ``peak_size`` is sampled on
+    every push.
 
     This is the ``"classic"`` kernel backend (see
     :mod:`repro.kernel.backend`): :meth:`push`, :meth:`push_fn`,
@@ -127,7 +145,7 @@ class EventQueue:
     name = "classic"
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[tuple] = []
         self._seq = 0
         self._live = 0
         self.events_cancelled = 0
@@ -144,14 +162,37 @@ class EventQueue:
 
     def push(self, time: int, priority: int, fn: Callable[[], None]) -> Event:
         """Insert a callback at an absolute time; returns a cancellable handle."""
-        event = Event(time, priority, self._seq, fn, self)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, priority, seq, fn, self)
         heap = self._heap
-        heapq.heappush(heap, event)
+        heapq.heappush(heap, (time, priority, seq, fn, event))
         self._live += 1
         if len(heap) > self.peak_size:
             self.peak_size = len(heap)
         return event
+
+    def push_fn(self, time: int, fn: Callable[[], None]) -> None:
+        """Backend hook: schedule an uncancellable priority-0 callback."""
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (time, 0, seq, fn, None))
+        self._live += 1
+        if len(heap) > self.peak_size:
+            self.peak_size = len(heap)
+
+    def push_resume(self, time: int, process, payload) -> None:
+        """Backend hook: schedule a process resume at an absolute time."""
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (time, 0, seq,
+                              process if payload is None
+                              else (process, payload), None))
+        self._live += 1
+        if len(heap) > self.peak_size:
+            self.peak_size = len(heap)
 
     def _note_cancelled(self) -> None:
         """One in-heap event became a tombstone (called by Event.cancel)."""
@@ -164,61 +205,58 @@ class EventQueue:
     def _compact(self) -> None:
         """Drop every tombstone and re-heapify.
 
-        Pop order is untouched: events are totally ordered by
+        Pop order is untouched: entries are totally ordered by
         ``(time, priority, seq)``, so any valid heap over the same live
         set pops the identical sequence.  The rebuild is in place (slice
-        assignment) so callers holding a reference to the heap list —
-        the simulator's fast run loop — stay valid.
+        assignment) so the drain loop's reference to the heap stays valid.
         """
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
+        heap[:] = [entry for entry in heap
+                   if entry[4] is None or not entry[4].cancelled]
         heapq.heapify(heap)
         self.compactions += 1
 
-    def push_fn(self, time: int, fn: Callable[[], None]) -> None:
-        """Backend hook: schedule an uncancellable priority-0 callback.
-
-        The classic engine has no cheaper representation than an
-        :class:`Event`, so this is :meth:`push` with the handle dropped.
-        """
-        self.push(time, 0, fn)
-
-    def push_resume(self, time: int, process, payload) -> None:
-        """Backend hook: schedule a process resume at an absolute time."""
-        if payload is None:
-            self.push(time, 0, process._resume)
-        else:
-            resume = lambda: process._resume(payload)  # noqa: E731
-            # mark so pending_entries() reports it opaque (fn=None),
-            # matching the calendar backend's tuple entries
-            resume._payload_resume = True
-            self.push(time, 0, resume)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None if drained."""
+    def _pop_live(self) -> Optional[tuple]:
+        """Remove and return the earliest live heap entry, or None."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
-            if not event.cancelled:
+            entry = heapq.heappop(heap)
+            event = entry[4]
+            if event is not None:
+                if event.cancelled:
+                    continue
                 event._queue = None
-                self._live -= 1
-                return event
+            self._live -= 1
+            return entry
         return None
+
+    def pop(self) -> Optional[Event]:
+        """Remove and return the earliest live entry as an :class:`Event`
+        (the ``push()`` handle itself, or a fresh one wrapping a handle-free
+        entry), or None if drained."""
+        entry = self._pop_live()
+        if entry is None:
+            return None
+        time, priority, seq, target, event = entry
+        if event is None:
+            event = Event(time, priority, seq, _fire_for(target))
+        return event
 
     def pop_entry(self) -> Optional[tuple]:
         """Backend hook: earliest live entry as ``(time, fire)`` or None."""
-        event = self.pop()
-        if event is None:
+        entry = self._pop_live()
+        if entry is None:
             return None
-        return event.time, event.fn
+        return entry[0], _fire_for(entry[3])
 
     def peek_time(self) -> Optional[int]:
-        """Time of the earliest live event, or None if the queue is empty."""
+        """Time of the earliest live entry, or None if the queue is empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap:
+            event = heap[0][4]
+            if event is None or not event.cancelled:
+                return heap[0][0]
             heapq.heappop(heap)
-        if heap:
-            return heap[0].time
         return None
 
     def pending_entries(self) -> List[PendingEntry]:
@@ -229,8 +267,9 @@ class EventQueue:
         process resume or an opaque callback.  Read-only: the queue is
         untouched.
         """
-        return [_classify_entry(event.time, event.fn)
-                for event in sorted(self._heap) if not event.cancelled]
+        return [_classify_entry(time, target)
+                for time, _, _, target, event in sorted(self._heap)
+                if event is None or not event.cancelled]
 
     def drain(self, sim) -> None:
         """Backend hook: run-to-empty dispatch (the unbounded run() path).
@@ -238,20 +277,53 @@ class EventQueue:
         The heap pop is inlined (the list identity is stable — compaction
         rebuilds it in place), with the queue's live accounting kept exact
         per event so callbacks that cancel events or read ``len(queue)``
-        see a consistent view.
+        see a consistent view.  Process resumes run in line: the generator
+        is advanced here and a ``yield <int>`` sleep is re-pushed directly,
+        without the ``_resume`` -> ``_dispatch`` -> ``push_resume`` frames;
+        every other yielded value goes through ``Process._dispatch``, which
+        also raises for negative, bool and unsupported yields.
         """
         heap = self._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
         fired = 0
         try:
             while heap:
-                event = heappop(heap)
-                if event.cancelled:
-                    continue
-                event._queue = None
+                time, _, _, target, event = heappop(heap)
+                if event is not None:
+                    if event.cancelled:
+                        continue
+                    event._queue = None
                 self._live -= 1
-                sim._now = event.time
-                event.fn()
+                sim._now = time
+                cls = target.__class__
+                if cls is Process:
+                    process = target
+                    payload = None
+                elif cls is tuple:
+                    process, payload = target
+                else:
+                    target()
+                    fired += 1
+                    continue
+                if process._alive:
+                    process._waiting_on = None
+                    try:
+                        yielded = process.generator.send(payload)
+                    except StopIteration as stop:
+                        process._finish(getattr(stop, "value", None))
+                    else:
+                        if type(yielded) is int and yielded >= 0:
+                            seq = self._seq
+                            self._seq = seq + 1
+                            heappush(heap, (time + yielded, 0, seq,
+                                            process, None))
+                            self._live += 1
+                            if len(heap) > self.peak_size:
+                                self.peak_size = len(heap)
+                        else:
+                            process._dispatch(yielded)
                 fired += 1
         finally:
             sim._events_fired += fired
+

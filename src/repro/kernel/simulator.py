@@ -28,7 +28,8 @@ class Simulator:
     ``backend`` selects the event-dispatch engine (see
     :mod:`repro.kernel.backend`): ``"classic"`` (default, binary heap) or
     ``"fast"`` (batched calendar queue).  Both produce bit-identical
-    simulations; the fast engine is several times quicker.
+    simulations, in about the same wall time on real platform runs (the
+    backend module documents the measurements).
     """
 
     #: Prune dead processes from the bookkeeping list once it reaches this

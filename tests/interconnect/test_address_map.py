@@ -81,3 +81,56 @@ class TestAddressMap:
         amap.add(0x0, 0x100, port)
         amap.add(0x1000, 0x100, port)
         assert amap.slave_ports() == [port]
+
+
+class TestFindBoundaries:
+    """``find`` bisects the sorted bases; every edge of every range."""
+
+    def make(self):
+        amap = AddressMap()
+        self.ports = [FakePort(name) for name in ("a", "b", "c")]
+        # added out of order, with a gap between b and c
+        amap.add(0x2000, 0x100, self.ports[1])
+        amap.add(0x1000, 0x1000, self.ports[0])
+        amap.add(0x8000, 0x40, self.ports[2])
+        return amap
+
+    def test_below_first_base(self):
+        amap = self.make()
+        assert amap.find(0x0) is None
+        assert amap.find(0x0FFC) is None
+
+    def test_base_and_last_word_hit(self):
+        amap = self.make()
+        for range_, port in zip(amap.ranges, self.ports):
+            assert amap.find(range_.base).slave_port is port
+            assert amap.find(range_.end - 1).slave_port is port
+            assert amap.find(range_.end - 4).slave_port is port
+
+    def test_end_is_exclusive(self):
+        amap = self.make()
+        # 0x2000 is both the end of a and the base of b (adjacent ranges)
+        assert amap.find(0x2000).slave_port is self.ports[1]
+        assert amap.find(0x2100) is None
+        assert amap.find(0x8040) is None
+
+    def test_gap_between_ranges(self):
+        amap = self.make()
+        assert amap.find(0x2100) is None
+        assert amap.find(0x4000) is None
+        assert amap.find(0x7FFC) is None
+
+    def test_beyond_last_range(self):
+        amap = self.make()
+        assert amap.find(0x803C).slave_port is self.ports[2]
+        assert amap.find(0xFFFF_FFFC) is None
+
+    def test_empty_map(self):
+        assert AddressMap().find(0x0) is None
+
+    def test_matches_linear_scan(self):
+        amap = self.make()
+        for addr in range(0, 0x9000, 0x3C):
+            expected = next((r for r in amap.ranges if r.contains(addr)),
+                            None)
+            assert amap.find(addr) is expected

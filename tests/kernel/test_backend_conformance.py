@@ -14,6 +14,7 @@ import pytest
 
 from repro.kernel import Simulator
 from repro.kernel.backend import KERNEL_BACKENDS, make_backend
+from repro.kernel.errors import SimulationError
 from repro.kernel.event import EventQueue, PendingEntry
 
 
@@ -104,6 +105,22 @@ class TestQueuePrimitives:
         sim._queue.drain(sim)
         assert fired == [1, 3, 6]
         assert len(sim._queue) == 0
+
+    @pytest.mark.parametrize("value", [-1, True, "x"])
+    def test_drain_rejects_bad_yield(self, backend, value):
+        def message(name):
+            sim = Simulator(backend=name)
+
+            def proc():
+                yield 2
+                yield value
+
+            sim.spawn(proc(), name="bad")
+            with pytest.raises(SimulationError) as info:
+                sim._queue.drain(sim)
+            return str(info.value), sim.now
+
+        assert message(backend) == message("classic")
 
     def test_counter_surface(self, backend):
         queue = _fresh_queue(backend)

@@ -1,8 +1,12 @@
 """Unit tests for the event queue ordering guarantees."""
 
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel.event import _COMPACT_MIN_SIZE, EventQueue
+from repro.kernel.errors import SimulationError
+from repro.kernel.event import _COMPACT_MIN_SIZE, EventQueue, PendingEntry
 
 
 def drain(queue):
@@ -256,3 +260,181 @@ class TestEventQueueProperties:
             by_key.setdefault((event.time, event.priority), []).append(event.seq)
         for seqs in by_key.values():
             assert seqs == sorted(seqs)
+
+
+class _Sim:
+    """Just the fields ``EventQueue.drain`` touches."""
+
+    def __init__(self):
+        self._now = 0
+        self._events_fired = 0
+
+
+class TestTupleEntries:
+    """The classic heap holds ``(time, priority, seq, target, event)``
+    tuples; handle-free pushes allocate no :class:`Event`."""
+
+    def test_heap_entries_are_tuples(self):
+        from repro.kernel import Simulator
+        sim = Simulator()
+
+        def proc():
+            yield 3
+
+        process = sim.spawn(proc(), name="p")
+        queue = sim._queue
+        queue.push_fn(2, _noop)
+        queue.push_resume(4, process, "payload")
+        handle = queue.push(5, 1, _noop)
+        entries = sorted(queue._heap)
+        assert [entry[:3] for entry in entries] == [
+            (0, 0, 0), (2, 0, 1), (4, 0, 2), (5, 1, 3)]
+        assert entries[0][3:] == (process, None)
+        assert entries[1][3:] == (_noop, None)
+        assert entries[2][3:] == ((process, "payload"), None)
+        assert entries[3][3:] == (_noop, handle)
+
+    def test_payload_resume_stays_opaque(self):
+        from repro.kernel import Simulator
+        sim = Simulator()
+
+        def proc():
+            value = yield sim.signal("s")
+            yield value
+
+        process = sim.spawn(proc(), name="p")
+        sim._queue.push_resume(7, process, 5)
+        entry = sim._queue.pending_entries()[-1]
+        assert entry == PendingEntry(7, None, None)
+
+    def test_cancel_before_firing(self):
+        queue = EventQueue()
+        fired = []
+        victim = queue.push(3, 0, lambda: fired.append("victim"))
+        queue.push_fn(4, lambda: fired.append("kept"))
+        victim.cancel()
+        assert len(queue) == 1 and queue.tombstones == 1
+        assert [e.time for e in queue.pending_entries()] == [4]
+        queue.drain(_Sim())
+        assert fired == ["kept"]
+
+    def test_cancel_after_compaction(self):
+        queue = EventQueue()
+        fired = []
+        victims = [queue.push(100 + i, 0, _noop)
+                   for i in range(_COMPACT_MIN_SIZE)]
+        late = queue.push(50, 0, lambda: fired.append("late"))
+        queue.push_resume(60, _Marker(), None)
+        for victim in victims:
+            victim.cancel()
+        assert queue.compactions >= 1
+        assert queue.tombstones < _COMPACT_MIN_SIZE
+        late.cancel()   # the handle survived the rebuild
+        assert len(queue) == 1
+        assert queue.peek_time() == 60
+        assert fired == []
+
+    def test_cancel_after_firing_is_harmless(self):
+        queue = EventQueue()
+        fired = []
+        guard = queue.push(1, 0, lambda: fired.append("guard"))
+        queue.push(2, 0, lambda: fired.append("next"))
+        sim = _Sim()
+        time, fire = queue.pop_entry()
+        fire()
+        guard.cancel()
+        assert len(queue) == 1
+        assert queue.events_cancelled == 0
+        queue.drain(sim)
+        assert fired == ["guard", "next"]
+        assert sim._events_fired == 1
+
+    def test_pop_wraps_handle_free_entries(self):
+        queue = EventQueue()
+        fired = []
+        queue.push_fn(2, lambda: fired.append("fn"))
+        event = queue.pop()
+        assert (event.time, event.priority, event.seq) == (2, 0, 0)
+        event.fn()
+        assert fired == ["fn"]
+
+    def test_peak_size_sampled_on_every_push_kind(self):
+        queue = EventQueue()
+        queue.push(1, 0, _noop)
+        assert queue.peak_size == 1
+        queue.push_fn(1, _noop)
+        assert queue.peak_size == 2
+        queue.push_resume(1, _Marker(), None)
+        assert queue.peak_size == 3
+        queue.push_resume(1, _Marker(), "payload")
+        assert queue.peak_size == 4
+        queue.pop_entry()
+        queue.push_fn(9, _noop)
+        assert queue.peak_size == 4
+
+    def test_drain_samples_peak_on_inline_resume(self):
+        from repro.kernel import Simulator
+        sim = Simulator()
+
+        def sleeper():
+            yield 5
+
+        for index in range(3):
+            sim.spawn(sleeper(), name=f"s{index}")
+        sim.run()
+        # three spawn resumes queued at once; the inline re-pushes of
+        # their sleeps never exceed that
+        assert sim.peak_heap_size == 3
+        assert sim.events_fired == 6
+        assert sim.now == 5
+
+
+class TestDrainRejectsBadYields:
+    """Inline resumes hand anything but a non-negative int to
+    ``Process._dispatch`` — the same errors as the plain resume path."""
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "yielded negative delay -1"),
+        (True, "yielded unsupported value True (bool)"),
+        (1.5, "yielded unsupported value 1.5 (float)"),
+        ("x", "yielded unsupported value 'x' (str)"),
+    ])
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_bad_yield_raises(self, value, message, bounded):
+        from repro.kernel import Simulator
+        sim = Simulator()
+
+        def proc():
+            yield 1
+            yield value
+
+        sim.spawn(proc(), name="bad")
+        with pytest.raises(SimulationError, match=re.escape(
+                f"process 'bad' {message}")):
+            if bounded:
+                sim.run(until=100)
+            else:
+                sim.run()
+        assert sim.now == 1
+
+    def test_payload_resume_bad_yield_raises(self):
+        from repro.kernel import Simulator
+        sim = Simulator()
+        signal = sim.signal("s")
+
+        def proc():
+            yield signal
+            yield -3
+
+        sim.spawn(proc(), name="bad")
+        sim.schedule_after(2, lambda: signal.notify("payload"))
+        with pytest.raises(SimulationError, match="negative delay -3"):
+            sim.run()
+
+
+class _Marker:
+    """Stands in for a process in entries that never fire."""
+
+
+def _noop():
+    pass
