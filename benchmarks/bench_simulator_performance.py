@@ -7,7 +7,7 @@ regressions in the kernel or the bus model show up in benchmark history:
 * process context-switch rate;
 * watchdog-churn (schedule+cancel per transaction) and notify-storm
   kernel workloads — the standalone profile in ``kernel_perf.py`` runs
-  the same factories and writes ``BENCH_kernel.json`` for the CI gate;
+  the same factories and writes the ``BENCH_kernel.json`` diagnostic;
 * AHB transactions per second under contention;
 * armlet instructions per second.
 """

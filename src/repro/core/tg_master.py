@@ -34,7 +34,6 @@ from repro.core.isa import (
     TGOp,
     TG_NUM_REGS,
 )
-from repro.core.decode import decode_program
 from repro.core.modes import ReplayMode
 from repro.core.program import TGProgram
 from repro.ocp import OCPMasterPort
@@ -109,14 +108,7 @@ class TGMaster(Component):
             self._issue_fifo = self.sim.fifo(name=f"{self.name}.issueq")
             self._issuer = self.sim.spawn(self._issue_process(),
                                           name=f"{self.name}.issuer")
-            # the cloning path threads every OCP op through the issue
-            # FIFO; keep it on the reference interpreter
-            runner = self._run()
-        elif self.sim.backend == "fast":
-            runner = self._run_fast()
-        else:
-            runner = self._run()
-        self._process = self.sim.spawn(runner, name=f"{self.name}.run")
+        self._process = self.sim.spawn(self._run(), name=f"{self.name}.run")
 
     @property
     def process(self):
@@ -265,16 +257,7 @@ class TGMaster(Component):
         if self.halted:
             raise SnapshotError(
                 f"{self.name}: snapshot re-arms a halted TG")
-        # interpreter choice is structural, not captured state: the
-        # cloning path always replays on the reference interpreter, the
-        # others pick by the *restoring* kernel's backend
-        if self.program.mode is ReplayMode.CLONING:
-            runner = self._run()
-        elif sim.backend == "fast":
-            runner = self._run_fast()
-        else:
-            runner = self._run()
-        self._process = sim.spawn(runner, name=f"{self.name}.run",
+        self._process = sim.spawn(self._run(), name=f"{self.name}.run",
                                   delay=at - sim.now)
 
     def owned_idle_processes(self):
@@ -458,87 +441,6 @@ class TGMaster(Component):
             # completion = program done AND issue queue drained
             yield from self._issue_fifo.put(None)
             yield self._issuer
-        self.halted = True
-        self.halt_time = self.sim.now
-        return self.halt_time
-
-    def _run_fast(self):
-        """Interpreter over the vectorised decode (fast backend only).
-
-        Semantically identical to :meth:`_run` — same instruction
-        sequence, same yields, same counters — but dispatches on
-        pre-decoded plain-int opcode columns (see
-        :mod:`repro.core.decode`) instead of touching a NamedTuple and
-        an enum per executed instruction.  Only straight-line field
-        access is lowered; branches re-enter the normal dispatch on the
-        next iteration, and every OCP transaction goes through the same
-        ``_transact`` machinery as the reference interpreter.
-        """
-        decoded = decode_program(self.program)
-        ops = decoded.ops
-        field_a = decoded.a
-        field_b = decoded.b
-        conds = decoded.conds
-        imms = decoded.imm
-        pool = decoded.pool
-        regs = self.regs
-        while True:
-            pc = self.pc
-            op = ops[pc]
-            self.pc = pc + 1
-            self.instructions_executed += 1
-            if op == 6:  # IDLE
-                imm = imms[pc]
-                if imm:
-                    yield imm
-            elif op == 5:  # SET_REGISTER
-                regs[field_a[pc]] = imms[pc]
-                yield 1
-            elif op == 1:  # READ
-                regs[RDREG] = yield from self._read_word(regs[field_a[pc]])
-            elif op == 2:  # WRITE
-                yield from self._transact(OCPCommand.WRITE,
-                                          regs[field_a[pc]],
-                                          regs[field_b[pc]])
-            elif op == 3:  # BURST_READ
-                response = yield from self._transact(
-                    OCPCommand.BURST_READ, regs[field_a[pc]],
-                    burst_len=field_b[pc])
-                regs[RDREG] = response.words[-1]
-            elif op == 4:  # BURST_WRITE
-                data = pool[imms[pc]:imms[pc] + field_b[pc]]
-                yield from self._transact(
-                    OCPCommand.BURST_WRITE, regs[field_a[pc]], list(data),
-                    burst_len=len(data))
-            elif op == 10:  # READ_NB
-                reader = self.sim.spawn(
-                    self._read_word(regs[field_a[pc]]),
-                    name=f"{self.name}.nb#{self.instructions_executed}")
-                self._outstanding.append(reader)
-                self.max_outstanding_observed = max(
-                    self.max_outstanding_observed,
-                    sum(1 for p in self._outstanding if p.alive))
-                yield 1
-            elif op == 11:  # FENCE
-                for reader in self._outstanding:
-                    if reader.alive:
-                        yield reader
-                self._outstanding = []
-            elif op == 7:  # IF
-                if conds[pc](regs[field_a[pc]], regs[field_b[pc]]):
-                    self.pc = imms[pc]
-                yield 1
-            elif op == 8:  # JUMP
-                self.pc = imms[pc]
-                yield 1
-            elif op == 9:  # HALT
-                for reader in self._outstanding:
-                    if reader.alive:
-                        yield reader
-                self._outstanding = []
-                break
-            else:  # pragma: no cover - validate() rejects unknown ops
-                raise TGError(f"bad opcode {op}")
         self.halted = True
         self.halt_time = self.sim.now
         return self.halt_time

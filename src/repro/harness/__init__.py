@@ -34,7 +34,6 @@ from repro.harness.checkpoint import (
     SnapshotRecipeMismatch,
     branch,
     checkpointed_run,
-    comparable_summary,
     ensure_recipe_compatible,
     fast_forward,
     load_snapshot,
@@ -87,7 +86,6 @@ __all__ = [
     "SnapshotRecipeMismatch",
     "branch",
     "checkpointed_run",
-    "comparable_summary",
     "ensure_recipe_compatible",
     "fast_forward",
     "load_snapshot",

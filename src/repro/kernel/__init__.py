@@ -36,8 +36,6 @@ Processes communicate time via the yield protocol::
         result = yield child      # join a child process, receive its return
 """
 
-from repro.kernel.backend import KERNEL_BACKENDS, make_backend
-from repro.kernel.calendar import CalendarQueue
 from repro.kernel.errors import (
     DeadlockError,
     KernelError,
@@ -53,14 +51,11 @@ from repro.kernel.simulator import Simulator
 from repro.kernel.component import Component
 
 __all__ = [
-    "CalendarQueue",
     "Component",
     "DeadlockError",
     "Event",
     "EventQueue",
-    "KERNEL_BACKENDS",
     "PendingEntry",
-    "make_backend",
     "Fifo",
     "KernelError",
     "LivelockError",

@@ -136,13 +136,10 @@ class EventQueue:
     the simulator's ``kernel_counters()``; ``peak_size`` is sampled on
     every push.
 
-    This is the ``"classic"`` kernel backend (see
-    :mod:`repro.kernel.backend`): :meth:`push`, :meth:`push_fn`,
-    :meth:`push_resume`, :meth:`pop_entry`, :meth:`peek_time` and
-    :meth:`drain` form the narrow interface the simulator drives.
+    :meth:`push`, :meth:`push_fn`, :meth:`push_resume`,
+    :meth:`pop_entry`, :meth:`peek_time` and :meth:`drain` form the
+    narrow interface the simulator drives.
     """
-
-    name = "classic"
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
@@ -173,7 +170,7 @@ class EventQueue:
         return event
 
     def push_fn(self, time: int, fn: Callable[[], None]) -> None:
-        """Backend hook: schedule an uncancellable priority-0 callback."""
+        """Schedule an uncancellable priority-0 callback."""
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
@@ -183,7 +180,7 @@ class EventQueue:
             self.peak_size = len(heap)
 
     def push_resume(self, time: int, process, payload) -> None:
-        """Backend hook: schedule a process resume at an absolute time."""
+        """Schedule a process resume at an absolute time."""
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
@@ -243,7 +240,7 @@ class EventQueue:
         return event
 
     def pop_entry(self) -> Optional[tuple]:
-        """Backend hook: earliest live entry as ``(time, fire)`` or None."""
+        """Earliest live entry as ``(time, fire)`` or None."""
         entry = self._pop_live()
         if entry is None:
             return None
@@ -260,7 +257,7 @@ class EventQueue:
         return None
 
     def pending_entries(self) -> List[PendingEntry]:
-        """Backend hook: every live entry in firing order (snapshots).
+        """Every live entry in firing order (snapshots).
 
         The heap is sorted (``(time, priority, seq)`` is a total order),
         tombstones dropped, and each entry classified as a re-armable
@@ -272,7 +269,7 @@ class EventQueue:
                 if event is None or not event.cancelled]
 
     def drain(self, sim) -> None:
-        """Backend hook: run-to-empty dispatch (the unbounded run() path).
+        """Run-to-empty dispatch (the unbounded run() path).
 
         The heap pop is inlined (the list identity is stable — compaction
         rebuilds it in place), with the queue's live accounting kept exact

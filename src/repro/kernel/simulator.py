@@ -1,10 +1,9 @@
 """The simulator: event loop, time base, and process management."""
 
-from typing import Callable, Dict, Generator, List, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional
 
-from repro.kernel.backend import make_backend
 from repro.kernel.errors import DeadlockError, LivelockError, SimulationError
-from repro.kernel.event import Event
+from repro.kernel.event import Event, EventQueue
 from repro.kernel.process import Process
 from repro.kernel.signal import Fifo, Signal, TimeoutSignal
 
@@ -24,12 +23,6 @@ class Simulator:
 
     The event order is fully deterministic (see :mod:`repro.kernel.event`),
     so any two runs of the same model are identical.
-
-    ``backend`` selects the event-dispatch engine (see
-    :mod:`repro.kernel.backend`): ``"classic"`` (default, binary heap) or
-    ``"fast"`` (batched calendar queue).  Both produce bit-identical
-    simulations, in about the same wall time on real platform runs (the
-    backend module documents the measurements).
     """
 
     #: Prune dead processes from the bookkeeping list once it reaches this
@@ -37,8 +30,8 @@ class Simulator:
     #: spawn a short-lived process per transaction.
     _PRUNE_START = 256
 
-    def __init__(self, backend: Union[str, object] = "classic") -> None:
-        self._queue = make_backend(backend)
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0
         self._events_fired = 0
         self._processes: List[Process] = []
@@ -48,11 +41,6 @@ class Simulator:
     # ------------------------------------------------------------------ time
 
     @property
-    def backend(self) -> str:
-        """Name of the kernel backend driving this simulator."""
-        return self._queue.name
-
-    @property
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self._now
@@ -60,13 +48,13 @@ class Simulator:
     def _advance_clock(self, time: int) -> None:
         """Advance the clock to ``time`` — monotonically, never backwards.
 
-        Every clock movement outside the backend drain loops goes through
+        Every clock movement outside the queue's drain loop goes through
         this single helper (event fire, early-drain catch-up to ``until``,
         and the ``next_time > until`` stop), so no path can reintroduce
         the PR 2 clock-rewind bug: a ``run(until=earlier)`` after a later
         stop is a no-op, and queue invariants (events never scheduled in
         the past) make the event-fire case equivalent to plain assignment.
-        The backends' run-to-drain loops assign ``_now`` directly but pop
+        The queue's run-to-drain loop assigns ``_now`` directly but pops
         times in non-decreasing order, preserving the same invariant.
         """
         if time > self._now:
@@ -89,17 +77,13 @@ class Simulator:
 
     @property
     def heap_compactions(self) -> int:
-        """Tombstone-shedding passes: heap rebuilds on the classic
-        backend, tombstone-dropping bucket sweeps on the fast one."""
+        """Tombstone-shedding passes (heap rebuilds)."""
         return self._queue.compactions
 
     @property
     def peak_heap_size(self) -> int:
-        """High-water mark of resident entries (live + tombstones).
-
-        The classic backend samples per push; the fast backend samples at
-        dispatch-batch boundaries, so its value can lag by one batch.
-        """
+        """High-water mark of resident entries (live + tombstones),
+        sampled on every push."""
         return self._queue.peak_size
 
     def kernel_counters(self) -> Dict[str, int]:
@@ -199,7 +183,7 @@ class Simulator:
         try:
             if until is None and max_events is None and progress_window is None:
                 # Fast path: run-to-drain with no per-event bound checks,
-                # delegated to the backend's batched dispatch loop.
+                # delegated to the queue's in-line dispatch loop.
                 self._queue.drain(self)
                 drained = True
             else:
@@ -294,7 +278,7 @@ class Simulator:
     def __repr__(self) -> str:
         live = sum(1 for p in self._processes if p.alive)
         return (f"<Simulator t={self._now} queued={len(self._queue)} "
-                f"processes={live} backend={self._queue.name}>")
+                f"processes={live}>")
 
 
 def timeout(sim: Simulator, cycles: int) -> TimeoutSignal:

@@ -52,8 +52,11 @@ Restores are **bit-identical continuations**: the kernel counters are
 overwritten with the captured values after settling, and re-armed
 entries are pushed in the captured global firing order, so the
 ``(time, priority, seq)`` total order of the continuation matches the
-uninterrupted run exactly — under either kernel backend, since both
-fire the same events in the same order.
+uninterrupted run exactly.
+
+The payload's ``"backend"`` field is always the literal ``"classic"``:
+it names the one event-queue engine and is kept so ``.snap`` bytes stay
+stable across releases.  Restore ignores it.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -191,7 +194,7 @@ def capture(sim, components: Dict[str, object], platform: dict,
     return {
         "snap_format": SNAP_FORMAT,
         "cycle": sim.now,
-        "backend": sim.backend,
+        "backend": "classic",
         "kernel": {
             "now": sim.now,
             "events_fired": sim.events_fired,

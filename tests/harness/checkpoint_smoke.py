@@ -34,11 +34,10 @@ from repro.cli import experiment_main
 sys.exit(experiment_main(sys.argv[1:]))
 """
 
-# classic backend: every field of tg_summary, kernel counters included,
-# is bit-identical between a restored and an uninterrupted run
+# every field of tg_summary, kernel counters included, is bit-identical
+# between a restored and an uninterrupted run
 RUN_ARGS = ["mp_matrix", "--cores", "2", "--interconnect", "ahb",
-            "--backend", "classic", "--checkpoint-every", "400",
-            "--json"]
+            "--checkpoint-every", "400", "--json"]
 
 
 def say(message):

@@ -8,14 +8,13 @@ import pytest
 
 from repro.apps.synthetic import TrafficSpec, generate
 from repro.artifacts.errors import EXIT_SNAPSHOT, SnapshotError
-from repro.artifacts.snap import load_snap
+from repro.artifacts.snap import dump_snap, load_snap, load_snap_bytes
 from repro.faults import RetryPolicy
 from repro.harness import (
     CheckpointManager,
     branch,
     build_tg_platform,
     checkpointed_run,
-    comparable_summary,
     load_snapshot,
     platform_recipe,
     rebuild_platform,
@@ -88,19 +87,13 @@ class TestCheckpointManager:
 
 class TestCheckpointedRun:
 
-    @pytest.mark.parametrize("backend", ["classic", "fast"])
-    def test_matches_uninterrupted_run(self, tmp_path, backend):
-        overrides = {"backend": backend}
-        base = _platform(overrides)
+    def test_matches_uninterrupted_run(self, tmp_path):
+        base = _platform()
         base.run()
         manager = CheckpointManager(tmp_path, keep=2)
-        platform = _platform(overrides)
-        checkpointed_run(platform, _recipe(overrides), manager,
-                         every=100)
-        assert comparable_summary(platform.stats_summary()) \
-            == comparable_summary(base.stats_summary())
-        if backend == "classic":
-            assert platform.stats_summary() == base.stats_summary()
+        platform = _platform()
+        checkpointed_run(platform, _recipe(), manager, every=100)
+        assert platform.stats_summary() == base.stats_summary()
         assert manager.latest() is not None
 
     def test_cadence_validated(self, tmp_path):
@@ -111,35 +104,38 @@ class TestCheckpointedRun:
 
 class TestRestorePlatform:
 
-    @pytest.mark.parametrize("backend", ["classic", "fast"])
-    def test_bit_identical_continuation(self, tmp_path, backend):
-        overrides = {"backend": backend}
-        base = _platform(overrides)
+    def test_bit_identical_continuation(self, tmp_path):
+        base = _platform()
         base.run()
 
-        platform = _platform(overrides)
+        platform = _platform()
         platform.run(until=150)
-        payload = platform.snapshot(_recipe(overrides))
+        payload = platform.snapshot(_recipe())
 
         restored = restore_platform(payload)
         assert restored.sim.now == payload["cycle"]
         assert restored.sim.events_fired \
             == payload["kernel"]["events_fired"]
         restored.run()
-        assert comparable_summary(restored.stats_summary()) \
-            == comparable_summary(base.stats_summary())
+        assert restored.stats_summary() == base.stats_summary()
 
-    def test_cross_backend_continuation(self):
-        platform = _platform({"backend": "classic"})
+    @pytest.mark.parametrize("legacy", ["classic", "fast"])
+    def test_legacy_backend_snapshot_restores(self, legacy):
+        # snapshots from releases with a second kernel engine name it in
+        # the payload and in the recipe's config overrides; the one event
+        # queue must still rebuild and continue them bit-identically
+        platform = _platform()
         platform.run(until=150)
-        payload = platform.snapshot(_recipe({"backend": "classic"}))
-        restored = restore_platform(payload, backend="fast")
-        assert restored.sim.backend == "fast"
+        payload = platform.snapshot(_recipe({"backend": legacy}))
+        payload["backend"] = legacy
+        payload = load_snap_bytes(dump_snap(payload).encode()).value
+        assert payload["platform"]["config_overrides"] \
+            == {"backend": legacy}
+        restored = restore_platform(payload)
         restored.run()
-        base = _platform({"backend": "classic"})
+        base = _platform()
         base.run()
-        assert comparable_summary(restored.stats_summary()) \
-            == comparable_summary(base.stats_summary())
+        assert restored.stats_summary() == base.stats_summary()
 
     def test_roundtrip_through_disk(self, tmp_path):
         platform = _platform()
@@ -181,8 +177,7 @@ class TestRestorePlatform:
         restored = restore_platform(payload)
         restored.run()
         assert restored.resilience_counters().as_dict() == base_res
-        assert comparable_summary(restored.stats_summary()) \
-            == comparable_summary(base.stats_summary())
+        assert restored.stats_summary() == base.stats_summary()
 
     def test_spec_mismatched_injector_state_is_typed(self):
         overrides = {"fault_spec": FAULTS, "fault_seed": 5}
@@ -243,14 +238,6 @@ class TestBranch:
         payload, _ = self._warmup_payload()
         with pytest.raises(SnapshotError):
             branch(payload, fault_seed=3)
-
-    def test_branch_onto_other_backend(self):
-        payload, _ = self._warmup_payload()
-        scenario = branch(payload, fault_spec=FAULTS, fault_seed=2,
-                          backend="fast")
-        assert scenario.sim.backend == "fast"
-        scenario.run()
-        assert scenario.all_finished
 
 
 class TestSnapPayloadCanonical:

@@ -1,40 +1,28 @@
-"""Backend conformance: every registered kernel backend, one contract.
+"""Event-queue conformance: the contract the simulator drives.
 
-The simulator drives a backend through six methods plus counters
-(``src/repro/kernel/backend.py``'s table).  This suite runs the same
-operation sequences against every name in ``KERNEL_BACKENDS`` and
-asserts identical observable behaviour — firing order, peek/len/pop
+The simulator drives its :class:`~repro.kernel.event.EventQueue`
+through six methods (``push``, ``push_fn``, ``push_resume``,
+``pop_entry``, ``peek_time``, ``drain``) plus counters.  This suite
+pins their observable behaviour — firing order, peek/len/pop
 semantics, counter meanings, and the ``pending_entries`` snapshot hook
-(kind classification and global firing order), so a future backend
-cannot silently diverge from the contract checkpointing now also
+(kind classification and global firing order) that checkpointing
 depends on.
 """
 
 import pytest
 
 from repro.kernel import Simulator
-from repro.kernel.backend import KERNEL_BACKENDS, make_backend
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import EventQueue, PendingEntry
 
 
-pytestmark = pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-
-
-def _fresh_queue(backend):
-    return make_backend(backend)
-
-
 class TestQueuePrimitives:
 
-    def test_make_backend_resolves_names(self, backend):
-        queue = _fresh_queue(backend)
-        assert hasattr(queue, "push")
-        if backend == "classic":
-            assert isinstance(queue, EventQueue)
+    def test_simulator_drives_an_event_queue(self):
+        assert isinstance(Simulator()._queue, EventQueue)
 
-    def test_push_fires_in_time_priority_seq_order(self, backend):
-        sim = Simulator(backend=backend)
+    def test_push_fires_in_time_priority_seq_order(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(5, lambda: fired.append("t5a"))
         sim.schedule_at(3, lambda: fired.append("t3"))
@@ -43,8 +31,8 @@ class TestQueuePrimitives:
         sim.run()
         assert fired == ["t3", "t5pri", "t5a", "t5b"]
 
-    def test_push_fn_and_push_resume_interleave_with_push(self, backend):
-        sim = Simulator(backend=backend)
+    def test_push_fn_and_push_resume_interleave_with_push(self):
+        sim = Simulator()
         queue = sim._queue
         fired = []
         queue.push(4, 0, lambda: fired.append("push"))
@@ -60,8 +48,8 @@ class TestQueuePrimitives:
         # same cycle, all priority 0: seq (insertion) order decides
         assert fired == ["push", "push_fn", "resume"]
 
-    def test_len_counts_live_entries_only(self, backend):
-        queue = _fresh_queue(backend)
+    def test_len_counts_live_entries_only(self):
+        queue = EventQueue()
         events = [queue.push(time, 0, lambda: None)
                   for time in (1, 2, 3)]
         assert len(queue) == 3
@@ -69,19 +57,19 @@ class TestQueuePrimitives:
         assert len(queue) == 2
         assert queue.events_cancelled == 1
 
-    def test_peek_time_skips_cancelled(self, backend):
-        queue = _fresh_queue(backend)
+    def test_peek_time_skips_cancelled(self):
+        queue = EventQueue()
         first = queue.push(1, 0, lambda: None)
         queue.push(7, 0, lambda: None)
         assert queue.peek_time() == 1
         first.cancel()
         assert queue.peek_time() == 7
 
-    def test_peek_time_empty_is_none(self, backend):
-        assert _fresh_queue(backend).peek_time() is None
+    def test_peek_time_empty_is_none(self):
+        assert EventQueue().peek_time() is None
 
-    def test_pop_entry_returns_time_and_fires(self, backend):
-        queue = _fresh_queue(backend)
+    def test_pop_entry_returns_time_and_fires(self):
+        queue = EventQueue()
         fired = []
         queue.push(9, 0, lambda: fired.append("a"))
         queue.push(2, 0, lambda: fired.append("b"))
@@ -97,8 +85,8 @@ class TestQueuePrimitives:
         assert fired == ["b", "a"]
         assert len(queue) == 0
 
-    def test_drain_dispatches_everything(self, backend):
-        sim = Simulator(backend=backend)
+    def test_drain_dispatches_everything(self):
+        sim = Simulator()
         fired = []
         for time in (6, 1, 3):
             sim.schedule_at(time, lambda t=time: fired.append(t))
@@ -107,23 +95,20 @@ class TestQueuePrimitives:
         assert len(sim._queue) == 0
 
     @pytest.mark.parametrize("value", [-1, True, "x"])
-    def test_drain_rejects_bad_yield(self, backend, value):
-        def message(name):
-            sim = Simulator(backend=name)
+    def test_drain_rejects_bad_yield(self, value):
+        sim = Simulator()
 
-            def proc():
-                yield 2
-                yield value
+        def proc():
+            yield 2
+            yield value
 
-            sim.spawn(proc(), name="bad")
-            with pytest.raises(SimulationError) as info:
-                sim._queue.drain(sim)
-            return str(info.value), sim.now
+        sim.spawn(proc(), name="bad")
+        with pytest.raises(SimulationError):
+            sim._queue.drain(sim)
+        assert sim.now == 2
 
-        assert message(backend) == message("classic")
-
-    def test_counter_surface(self, backend):
-        queue = _fresh_queue(backend)
+    def test_counter_surface(self):
+        queue = EventQueue()
         for name in ("tombstones", "events_cancelled", "compactions",
                      "peak_size"):
             assert isinstance(getattr(queue, name), int), name
@@ -132,8 +117,8 @@ class TestQueuePrimitives:
 class TestPendingEntries:
     """The snapshot hook: classification and firing order."""
 
-    def test_firing_order_and_times(self, backend):
-        sim = Simulator(backend=backend)
+    def test_firing_order_and_times(self):
+        sim = Simulator()
         queue = sim._queue
         queue.push(8, 0, lambda: None)
         queue.push(2, 0, lambda: None)
@@ -141,8 +126,8 @@ class TestPendingEntries:
         assert [entry.time for entry in queue.pending_entries()] \
             == [2, 5, 8]
 
-    def test_process_resume_is_claimable(self, backend):
-        sim = Simulator(backend=backend)
+    def test_process_resume_is_claimable(self):
+        sim = Simulator()
 
         def proc():
             yield 10
@@ -157,8 +142,8 @@ class TestPendingEntries:
         assert entry.process is process
         assert entry.fn is None
 
-    def test_payload_resume_is_opaque(self, backend):
-        sim = Simulator(backend=backend)
+    def test_payload_resume_is_opaque(self):
+        sim = Simulator()
 
         def proc():
             yield 1
@@ -173,8 +158,8 @@ class TestPendingEntries:
         assert entries[0].process is None
         assert entries[0].fn is None
 
-    def test_bare_callback_exposes_fn_identity(self, backend):
-        queue = _fresh_queue(backend)
+    def test_bare_callback_exposes_fn_identity(self):
+        queue = EventQueue()
 
         def callback():
             pass
@@ -185,8 +170,8 @@ class TestPendingEntries:
         assert entries[0].process is None
         assert entries[0].fn is callback
 
-    def test_event_callback_exposes_fn_identity(self, backend):
-        sim = Simulator(backend=backend)
+    def test_event_callback_exposes_fn_identity(self):
+        sim = Simulator()
 
         def callback():
             pass
@@ -196,16 +181,16 @@ class TestPendingEntries:
         assert len(entries) == 1
         assert entries[0].fn is callback
 
-    def test_cancelled_events_not_listed(self, backend):
-        queue = _fresh_queue(backend)
+    def test_cancelled_events_not_listed(self):
+        queue = EventQueue()
         keep = queue.push(1, 0, lambda: None)
         drop = queue.push(2, 0, lambda: None)
         drop.cancel()
         assert [e.time for e in queue.pending_entries()] == [1]
         assert keep is not None
 
-    def test_read_only(self, backend):
-        sim = Simulator(backend=backend)
+    def test_read_only(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(1, lambda: fired.append(1))
         sim.schedule_at(2, lambda: fired.append(2))
@@ -215,60 +200,11 @@ class TestPendingEntries:
         sim.run()
         assert fired == [1, 2]
 
-    def test_mixed_priority_order_preserved(self, backend):
-        sim = Simulator(backend=backend)
+    def test_mixed_priority_order_preserved(self):
+        sim = Simulator()
         queue = sim._queue
         queue.push(5, 0, lambda: None)
-        queue.push(5, -2, lambda: None)     # forces calendar mixed mode
+        queue.push(5, -2, lambda: None)
         queue.push(3, 1, lambda: None)
         times = [e.time for e in queue.pending_entries()]
         assert times == [3, 5, 5]
-
-
-class TestCrossBackendParity:
-    """The same schedule produces the same pending view on any backend."""
-
-    def test_pending_parity_after_identical_schedule(self, backend):
-        def build(name):
-            sim = Simulator(backend=name)
-
-            def proc():
-                yield 10
-                yield 20
-
-            sim.spawn(proc(), name="tg")
-            sim.schedule_after(7, _marker)
-            sim.run(until=0)
-            return sim
-
-        reference = build("classic")
-        candidate = build(backend)
-        ref_view = [(e.time, e.process is not None,
-                     e.fn is not None)
-                    for e in reference._queue.pending_entries()]
-        cand_view = [(e.time, e.process is not None,
-                      e.fn is not None)
-                     for e in candidate._queue.pending_entries()]
-        assert cand_view == ref_view
-
-    def test_event_counters_after_identical_run(self, backend):
-        def run(name):
-            sim = Simulator(backend=name)
-            fired = []
-
-            def proc():
-                for _ in range(5):
-                    yield 3
-                fired.append(sim.now)
-
-            sim.spawn(proc(), name="p")
-            handle = sim.schedule_at(100, lambda: fired.append(-1))
-            handle.cancel()
-            sim.run()
-            return sim.events_fired, sim.now, fired
-
-        assert run(backend) == run("classic")
-
-
-def _marker():
-    pass

@@ -280,10 +280,9 @@ class TestClockMonotonicityProperty:
         min_size=1, max_size=20,
     )
 
-    @_given(_CALLS, _st.lists(_st.integers(1, 9), min_size=1, max_size=12),
-            _st.sampled_from(["classic", "fast"]))
-    def test_interleaved_runs_never_rewind(self, calls, delays, backend):
-        sim = Simulator(backend=backend)
+    @_given(_CALLS, _st.lists(_st.integers(1, 9), min_size=1, max_size=12))
+    def test_interleaved_runs_never_rewind(self, calls, delays):
+        sim = Simulator()
 
         def proc():
             for delay in delays:
@@ -320,14 +319,13 @@ class TestClockMonotonicityProperty:
                                            min_size=1, max_size=10))
     def test_drained_until_lands_on_max(self, until, delays):
         """With everything drained, run(until=T) == max(T, last event)."""
-        for backend in ("classic", "fast"):
-            sim = Simulator(backend=backend)
+        sim = Simulator()
 
-            def proc():
-                for delay in delays:
-                    yield delay
+        def proc():
+            for delay in delays:
+                yield delay
 
-            sim.spawn(proc(), name="p")
-            sim.run()                      # drain completely
-            last = sim.now
-            assert sim.run(until=until) == max(until, last)
+        sim.spawn(proc(), name="p")
+        sim.run()                      # drain completely
+        last = sim.now
+        assert sim.run(until=until) == max(until, last)
