@@ -70,7 +70,6 @@ from repro.harness.supervisor import (
 )
 from repro.harness.sweep import (
     SweepSpec,
-    run_sweep,
     sweep_csv,
     sweep_table,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "build_tg_platform",
     "reference_run",
     "resilience_demo",
-    "run_sweep",
     "sweep_csv",
     "sweep_table",
     "table2_row",

@@ -184,9 +184,9 @@ class SweepPoint:
 def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
     """Grid points in canonical sweep order (fabric → mode → cores).
 
-    The order matches :func:`repro.harness.sweep.run_sweep`, so serial
-    and parallel sweeps render identical tables.  Every point gets its
-    own deep copy of the app params.
+    Results come back in this order whatever the worker count, so a
+    ``jobs=1`` and a pooled sweep render identical tables.  Every point
+    gets its own deep copy of the app params.
     """
     points: List[SweepPoint] = []
     for interconnect in spec.interconnects:

@@ -9,20 +9,23 @@ process handles, so one dead or hung worker is killed, reaped and
 replaced without disturbing the other lanes.
 
 :class:`WorkerSupervisor` owns N ``multiprocessing.Process`` children.
-Each worker has a private task queue (so the supervisor always knows
-which point a worker is holding) and shares one result queue on which
-it reports ``started`` (pickup), ``done`` (a summary dict) and periodic
-``heartbeat`` messages from a daemon thread.  The supervisor turns
-queue traffic plus process liveness into typed :class:`WorkerEvent`
-streams:
+Each worker has one private duplex pipe and shares nothing with its
+siblings: tasks go down it, and ``started`` (pickup), ``done`` (a
+summary dict) and periodic ``heartbeat`` messages come back up it.  A
+worker's main and heartbeat threads serialise their writes with a
+process-local lock, so a worker killed mid-write can tear only its own
+channel.  The supervisor waits on every channel and every process
+sentinel at once, so a death is seen the moment it happens; heartbeats
+only serve to detect hangs.  It turns that traffic into typed
+:class:`WorkerEvent` streams:
 
 * ``started`` — the worker picked the point up (per-point timeout
   clocks start *here*, not at submission);
 * ``result`` — the point finished with a summary (ok or failed);
 * ``crashed`` — the worker process died mid-point (SIGKILL, OOM,
-  segfault) or stopped heartbeating for ``heartbeat_timeout_s``
-  (hung in a non-Python blocking call); the worker is hard-killed
-  and respawned;
+  segfault; seen through its sentinel or its channel's end-of-file)
+  or stopped heartbeating for ``heartbeat_timeout_s`` (hung in a
+  non-Python blocking call); the worker is hard-killed and respawned;
 * ``timeout`` — the point exceeded its wall-clock budget measured
   from pickup; the worker is hard-killed and respawned.
 
@@ -38,10 +41,11 @@ the CLI.
 
 import multiprocessing
 import os
-import queue as queue_module
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Dict, List, NamedTuple, Optional
 
 __all__ = [
@@ -130,7 +134,8 @@ class SweepInterrupted(Exception):
 
 #: Test-only knobs (set the env vars in tests to exercise crash paths).
 #: ``CRASH_INDEX`` — any worker handed that grid-point index dies with
-#: ``os._exit`` after reporting pickup (a deterministic mid-point kill).
+#: ``os._exit`` after reporting pickup, in the middle of sending a
+#: multi-megabyte message (the worst moment to die: mid-write).
 _TEST_CRASH_INDEX_ENV = "REPRO_SWEEP_TEST_CRASH_INDEX"
 #: ``CRASH_ONCE`` — the first worker to claim the named marker file dies
 #: mid-point, exactly once across the pool (exercises crash + retry).
@@ -143,17 +148,35 @@ _TEST_NO_HEARTBEAT_ENV = "REPRO_SWEEP_TEST_NO_HEARTBEAT"
 HEARTBEAT_INTERVAL_S = 0.5
 
 
-def _heartbeat_loop(result_queue, worker_id: int,
-                    stop: threading.Event) -> None:
-    while not stop.wait(HEARTBEAT_INTERVAL_S):
+def _heartbeat_loop(send) -> None:
+    while True:
+        time.sleep(HEARTBEAT_INTERVAL_S)
         try:
-            result_queue.put(("heartbeat", worker_id, None, None))
-        except (OSError, ValueError):
-            return                  # queue closed: parent is gone
+            send(("heartbeat", None, None))
+        except OSError:
+            return                  # channel closed: parent is gone
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _die_mid_write(channel, lock: threading.Lock) -> None:
+    """Start sending a message far larger than a socket buffer (so the
+    write blocks on the reader), then ``os._exit`` part-way through."""
+    blob = pickle.dumps(("heartbeat", None, bytes(8 << 20)))
+    with lock:
+        threading.Timer(0.005, os._exit, args=(42,)).start()
+        channel.send_bytes(blob)
+    os._exit(42)
+
+
+def _worker_main(channel, supervisor_end) -> None:
     """Body of one pool worker: loop over tasks until the sentinel.
+
+    ``channel`` is the worker's end of its private duplex pipe: tasks
+    arrive on it, and ``started``/``done``/``heartbeat`` messages leave
+    on it.  The main and heartbeat threads serialise their writes with
+    a process-local lock, so nothing is shared with other workers.
+    ``supervisor_end`` is the supervisor's end, which the child also
+    holds a copy of; closing it at once lets a dead supervisor read as
+    end-of-file.
 
     SIGINT is ignored — a terminal Ctrl-C hits the whole process group,
     and shutdown is the *supervisor's* decision (it journals in-flight
@@ -164,34 +187,41 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     # undo any SIGTERM handler inherited from the driver (the CLI's
     # interrupt handler, forked into us) so terminate() works first try
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    supervisor_end.close()
 
-    stop = threading.Event()
+    lock = threading.Lock()
+
+    def send(message) -> None:
+        with lock:
+            channel.send(message)
+
     if not os.environ.get(_TEST_NO_HEARTBEAT_ENV):
-        beat = threading.Thread(target=_heartbeat_loop, daemon=True,
-                                args=(result_queue, worker_id, stop))
-        beat.start()
+        threading.Thread(target=_heartbeat_loop, args=(send,),
+                         daemon=True).start()
 
     from repro.harness.parallel import _execute_point
     crash_index = os.environ.get(_TEST_CRASH_INDEX_ENV)
     crash_once = os.environ.get(_TEST_CRASH_ONCE_ENV)
-    while True:
-        task = task_queue.get()
-        if task is None:
-            stop.set()
-            return
-        index, payload = task
-        result_queue.put(("started", worker_id, index, None))
-        if crash_index is not None and int(crash_index) == index:
-            os._exit(42)
-        if crash_once:
-            try:
-                os.close(os.open(crash_once,
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                os._exit(42)
-            except FileExistsError:
-                pass                # another worker already crashed
-        summary = _execute_point(payload)
-        result_queue.put(("done", worker_id, index, summary))
+    try:
+        while True:
+            task = channel.recv()
+            if task is None:
+                return
+            index, payload = task
+            send(("started", index, None))
+            if crash_index is not None and int(crash_index) == index:
+                _die_mid_write(channel, lock)
+            if crash_once:
+                try:
+                    os.close(os.open(crash_once,
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                    os._exit(42)
+                except FileExistsError:
+                    pass            # another worker already crashed
+            summary = _execute_point(payload)
+            send(("done", index, summary))
+    except (EOFError, OSError):
+        pass                        # the supervisor is gone
 
 
 # -------------------------------------------------------- supervisor side
@@ -207,11 +237,11 @@ class WorkerEvent(NamedTuple):
 
 @dataclass
 class _WorkerHandle:
-    """One supervised child: its process, private queue and bookkeeping."""
+    """One supervised child: its process, private channel and bookkeeping."""
 
     worker_id: int
     process: multiprocessing.Process
-    task_queue: object
+    channel: Connection
     index: Optional[int] = None          # grid point currently held
     dispatched_at: Optional[float] = None
     started_at: Optional[float] = None   # set on the "started" message
@@ -220,6 +250,13 @@ class _WorkerHandle:
     @property
     def busy(self) -> bool:
         return self.index is not None
+
+    def stop(self) -> None:
+        """Ask the worker to exit once idle (a no-op if it is dead)."""
+        try:
+            self.channel.send(None)
+        except OSError:
+            pass
 
 
 class WorkerSupervisor:
@@ -236,10 +273,8 @@ class WorkerSupervisor:
         self.target = max(1, workers)
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._context = multiprocessing.get_context()
-        self._result_queue = self._context.Queue()
         self._workers: Dict[int, _WorkerHandle] = {}
         self._retired: List[_WorkerHandle] = []
-        self._dead_ids: set = set()
         self._next_id = 0
         for _ in range(self.target):
             self._spawn()
@@ -264,23 +299,25 @@ class WorkerSupervisor:
     def _spawn(self) -> _WorkerHandle:
         worker_id = self._next_id
         self._next_id += 1
-        task_queue = self._context.Queue()
+        channel, child_end = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main, name=f"repro-sweep-worker-{worker_id}",
-            args=(worker_id, task_queue, self._result_queue), daemon=True)
+            args=(child_end, channel), daemon=True)
         process.start()
-        handle = _WorkerHandle(worker_id, process, task_queue)
+        # only the worker may hold its end: once it dies, our end reads
+        # EOF, and no later fork can keep the channel half-alive
+        child_end.close()
+        handle = _WorkerHandle(worker_id, process, channel)
         self._workers[worker_id] = handle
         return handle
 
     def _kill(self, handle: _WorkerHandle) -> None:
         """Hard-kill one worker and reap it; it is never reused."""
-        self._dead_ids.add(handle.worker_id)
         del self._workers[handle.worker_id]
         if handle.process.is_alive():
             handle.process.kill()
         handle.process.join(timeout=5.0)
-        handle.task_queue.close()
+        handle.channel.close()
 
     # ----------------------------------------------------------- resizing
 
@@ -305,12 +342,8 @@ class WorkerSupervisor:
                 break
             if handle.busy:
                 continue
-            self._dead_ids.add(handle.worker_id)
             del self._workers[handle.worker_id]
-            try:
-                handle.task_queue.put(None)   # graceful: exits at once
-            except (OSError, ValueError):
-                pass
+            handle.stop()                 # graceful: exits at once
             self._retired.append(handle)
 
     def _reap_retired(self) -> None:
@@ -318,7 +351,7 @@ class WorkerSupervisor:
             if handle.process.is_alive():
                 continue
             handle.process.join(timeout=0)
-            handle.task_queue.close()
+            handle.channel.close()
             self._retired.remove(handle)
 
     # --------------------------------------------------------- dispatch
@@ -328,18 +361,19 @@ class WorkerSupervisor:
         for handle in list(self._workers.values()):
             if handle.busy:
                 continue
-            if not handle.process.is_alive():
-                # died idle since the last poll(); queueing into the
-                # corpse would misclassify a never-run point as a
-                # worker-crash — reap and hand the point to a fresh
-                # worker instead
+            try:
+                handle.channel.send((index, payload))
+            except OSError:
+                # died idle since the last poll(); a point handed to the
+                # corpse would be misclassified worker-crash without ever
+                # running — reap it and use a fresh worker instead
                 self._kill(handle)
                 handle = self._spawn()
+                handle.channel.send((index, payload))
             handle.index = index
             handle.dispatched_at = time.monotonic()
             handle.started_at = None
             handle.last_heartbeat = time.monotonic()
-            handle.task_queue.put((index, payload))
             return
         raise RuntimeError("dispatch() called with no idle worker")
 
@@ -348,23 +382,33 @@ class WorkerSupervisor:
     def poll(self, timeout: float = 0.1,
              point_timeout_s: Optional[float] = None,
              respawn: bool = True) -> List[WorkerEvent]:
-        """Drain worker traffic and health-check the pool.
+        """Wait for worker traffic or deaths, then health-check the pool.
 
+        Blocks up to ``timeout`` on every worker's channel and process
+        sentinel at once, so a death is seen the moment it happens.
         Returns the supervision events since the last call.  Dead or
         hung workers are killed and (when ``respawn``) replaced before
         returning, so one bad lane never stalls the others.
         """
         events: List[WorkerEvent] = []
-        self._drain(timeout, events)
+        handles = list(self._workers.values())
+        ready = set(wait([h.channel for h in handles]
+                         + [h.process.sentinel for h in handles], timeout))
         now = time.monotonic()
-        for handle in list(self._workers.values()):
-            if not handle.process.is_alive():
+        for handle in handles:
+            dead = handle.process.sentinel in ready
+            # read the channel first even when the sentinel fired too: a
+            # "done" sent just before exit is a result, not a crash
+            if (dead or handle.channel in ready) \
+                    and not self._receive(handle, events):
+                dead = True
+            if dead:
+                self._kill(handle)
                 if handle.busy:
                     events.append(WorkerEvent(
                         "crashed", handle.index, None,
                         f"worker process (pid {handle.process.pid}) died "
                         f"with exit code {handle.process.exitcode}"))
-                self._kill(handle)
                 continue
             if not handle.busy:
                 continue
@@ -394,35 +438,27 @@ class WorkerSupervisor:
                 self._spawn()
         return events
 
-    def _drain(self, timeout: float, events: List[WorkerEvent]) -> None:
-        block = True
-        while True:
-            try:
-                message = self._result_queue.get(
-                    timeout=timeout if block else 0)
-            except queue_module.Empty:
-                return
-            except (EOFError, OSError):
-                return
-            except Exception:
-                # a worker killed mid-write can tear the stream; drop the
-                # message — liveness checks will classify the worker
-                continue
-            block = False
-            kind, worker_id, index, payload = message
-            handle = self._workers.get(worker_id)
-            if handle is None or worker_id in self._dead_ids:
-                continue            # stale traffic from a killed worker
-            handle.last_heartbeat = time.monotonic()
-            if kind == "heartbeat":
-                continue
-            if kind == "started":
-                handle.started_at = time.monotonic()
-                events.append(WorkerEvent("started", index, None))
-            elif kind == "done":
-                handle.index = None
-                handle.started_at = None
-                events.append(WorkerEvent("result", index, payload))
+    @staticmethod
+    def _receive(handle: _WorkerHandle, events: List[WorkerEvent]) -> bool:
+        """Read every message waiting on one worker's channel.
+
+        Returns False once the channel reports end-of-file: the worker
+        is dead (a message torn by its death reads as end-of-file too).
+        """
+        try:
+            while handle.channel.poll():
+                kind, index, payload = handle.channel.recv()
+                handle.last_heartbeat = time.monotonic()
+                if kind == "started":
+                    handle.started_at = time.monotonic()
+                    events.append(WorkerEvent("started", index, None))
+                elif kind == "done":
+                    handle.index = None
+                    handle.started_at = None
+                    events.append(WorkerEvent("result", index, payload))
+        except (EOFError, OSError):
+            return False
+        return True
 
     # ----------------------------------------------------------- shutdown
 
@@ -437,13 +473,9 @@ class WorkerSupervisor:
         handles = list(self._workers.values()) + self._retired
         self._workers.clear()
         self._retired = []
-        self._dead_ids.update(h.worker_id for h in handles)
         if graceful:
             for handle in handles:
-                try:
-                    handle.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
+                handle.stop()
             deadline = time.monotonic() + timeout
             for handle in handles:
                 handle.process.join(
@@ -458,6 +490,4 @@ class WorkerSupervisor:
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join()
-            handle.task_queue.close()
-        self._result_queue.close()
-        self._result_queue.join_thread()
+            handle.channel.close()

@@ -2,9 +2,8 @@
 
 Architectural exploration is "carrying out the same set of simulations
 for each design alternative" — a sweep spec names the benchmark, the
-core counts, the interconnects and the replay modes, and the runner
-produces one :class:`~repro.harness.experiments.TGFlowResult` row per
-grid point, plus table/CSV renderings.
+core counts, the interconnects and the replay modes; this module
+validates that spec and renders result rows as tables and CSV.
 
 Specs are plain dictionaries (JSON-friendly, used by ``repro-sweep``)::
 
@@ -16,11 +15,10 @@ Specs are plain dictionaries (JSON-friendly, used by ``repro-sweep``)::
       "app_params": {"n": 8}
     }
 
-``run_sweep`` here executes the grid serially, in process, and keeps the
-full platforms around for inspection.  The scalable path — a worker pool
-with per-point crash isolation and an on-disk result cache — lives in
-:mod:`repro.harness.parallel` / :mod:`repro.harness.cache` and shares
-this module's :class:`SweepSpec` and renderers (see docs/SWEEPS.md).
+The one sweep engine, :func:`repro.harness.parallel.run_sweep_parallel`,
+executes the grid: over a supervised worker pool with per-point crash
+isolation and an on-disk result cache, or serially in process with
+``jobs=1`` (see docs/SWEEPS.md).
 """
 
 import copy
@@ -30,7 +28,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.modes import ReplayMode
 from repro.faults import FaultSpec
-from repro.harness.experiments import TGFlowResult, tg_flow
 from repro.stats import Table
 
 _APP_NAMES = ("sp_matrix", "cacheloop", "mp_matrix", "des")
@@ -292,56 +289,6 @@ def resolve_traffic(template: Dict, n_cores: int, mode: str,
     return resolved
 
 
-def run_sweep(spec: SweepSpec) -> List[TGFlowResult]:
-    """Run every grid point serially; returns results in grid order.
-
-    Each point receives its own deep copy of ``spec.app_params`` — an app
-    that mutates a nested parameter value (a list it appends to, a dict it
-    fills in) must not poison later grid points, and the spec itself stays
-    pristine for re-use.
-
-    For parallel execution with caching and crash isolation, use
-    :func:`repro.harness.parallel.run_sweep_parallel`.
-    """
-    if spec.benchmark == SYNTHETIC:
-        from repro.apps.synthetic import TrafficSpec, synthetic_flow
-        results = []
-        for interconnect in spec.interconnects:
-            for mode in spec.modes:
-                for n_cores in spec.cores:
-                    for pattern in (spec.patterns or [None]):
-                        for load in (spec.loads or [None]):
-                            traffic = TrafficSpec.from_dict(resolve_traffic(
-                                spec.traffic, n_cores, mode.value,
-                                pattern, load))
-                            results.append(synthetic_flow(
-                                traffic, interconnect,
-                                config_overrides=_fault_overrides(spec),
-                                warmup_cycles=spec.warmup_cycles,
-                                warmup_fabric=spec.warmup_fabric))
-        return results
-    results = []
-    for interconnect in spec.interconnects:
-        for mode in spec.modes:
-            for n_cores in spec.cores:
-                params = copy.deepcopy(spec.app_params)
-                results.append(tg_flow(
-                    spec.app, n_cores, interconnect=interconnect,
-                    mode=mode, app_params=params or None,
-                    fault_spec=copy.deepcopy(spec.fault_spec),
-                    fault_seed=spec.fault_seed,
-                    warmup_cycles=spec.warmup_cycles,
-                    warmup_fabric=spec.warmup_fabric))
-    return results
-
-
-def _fault_overrides(spec: SweepSpec) -> Optional[Dict]:
-    if spec.fault_spec is None:
-        return None
-    return {"fault_spec": copy.deepcopy(spec.fault_spec),
-            "fault_seed": spec.fault_seed}
-
-
 def _is_synthetic_row(result) -> bool:
     return getattr(result, "offered_load", None) is not None
 
@@ -349,9 +296,9 @@ def _is_synthetic_row(result) -> bool:
 def sweep_table(results: List, title: Optional[str] = None) -> str:
     """Render sweep results as a fixed-width table.
 
-    Accepts rich :class:`TGFlowResult` rows (serial sweeps), the
-    picklable :class:`~repro.harness.parallel.PointResult` rows
-    (parallel and cached sweeps) and
+    Accepts the :class:`~repro.harness.parallel.PointResult` rows of
+    the sweep engine, rich
+    :class:`~repro.harness.experiments.TGFlowResult` rows and
     :class:`~repro.apps.synthetic.SyntheticResult` rows, which get a
     load/latency column layout instead of the reference-comparison one.
     A *mixed* result list (synthetic and trace-benchmark rows together,

@@ -2,9 +2,11 @@
 retry/quarantine, journalled resume through the engine."""
 
 import os
+import random
 import signal
 import threading
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -88,6 +90,59 @@ class TestWorkerCrashRecovery:
         state = SweepJournal.read_state(tmp_path)
         assert state.quarantined == {0}
         assert 0 in state.failed
+
+
+def killing_supervisor(victim: int, delay_s: float):
+    """A supervisor that SIGKILLs, once, the worker running point
+    ``victim``, ``delay_s`` after it sees the pickup."""
+
+    class KillingSupervisor(supervisor_module.WorkerSupervisor):
+        armed = True
+
+        def poll(self, *args, **kwargs):
+            events = super().poll(*args, **kwargs)
+            for handle in self._workers.values():
+                if self.armed and handle.index == victim \
+                        and handle.started_at is not None:
+                    time.sleep(delay_s)
+                    os.kill(handle.process.pid, signal.SIGKILL)
+                    self.armed = False
+            return events
+
+    return KillingSupervisor
+
+
+class TestCrashIsolationStress:
+    """One busy worker dies per run; its siblings must not notice.
+
+    Odd seeds SIGKILL the victim at a random moment of its point; even
+    seeds make it die in the middle of sending a multi-megabyte message,
+    the moment a channel shared between workers would be left torn or
+    locked for everyone.
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_killed_worker_costs_only_its_point(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        busy_s = rng.uniform(0.05, 0.15)
+        victim = rng.randrange(3)
+        monkeypatch.setenv(parallel_module._TEST_SLEEP_ENV, f"{busy_s:.3f}")
+        if seed % 2:
+            monkeypatch.setattr(
+                parallel_module, "WorkerSupervisor",
+                killing_supervisor(victim, rng.uniform(0.0, busy_s / 2)))
+        else:
+            monkeypatch.setenv(supervisor_module._TEST_CRASH_INDEX_ENV,
+                               str(victim))
+        spec = SweepSpec("cacheloop", [1, 2, 3], app_params={"iters": 10})
+        start = time.monotonic()
+        results = run_sweep_parallel(spec, jobs=3)
+        elapsed = time.monotonic() - start
+        assert [r.status for r in results] == [
+            "failed" if index == victim else "ok" for index in range(3)]
+        assert results[victim].failure.kind == "worker-crash"
+        # a death is seen at once, never through heartbeat silence
+        assert elapsed < parallel_module.DEFAULT_HEARTBEAT_TIMEOUT_S / 6
 
 
 class TestHangDetection:
@@ -396,16 +451,15 @@ class TestSupervisorShutdown:
                 supervisor.poll(timeout=0.05)
                 for handle in supervisor._workers.values():
                     if handle.busy and handle.started_at is not None:
-                        victim = handle.process.pid
+                        victim = handle.process
                         break
             assert victim is not None
-            os.kill(victim, signal.SIGKILL)
-            events = []
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not any(
-                    e.kind == "crashed" for e in events):
-                events.extend(supervisor.poll(timeout=0.05))
-            crashed = [e for e in events if e.kind == "crashed"]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=10.0)
+            # heartbeats are off: the death alone must surface in the
+            # very next poll()
+            crashed = [e for e in supervisor.poll(timeout=0)
+                       if e.kind == "crashed"]
             assert crashed and crashed[0].index == 0
             # the pool healed itself back to two live workers
             assert len(supervisor._workers) == 2
@@ -413,3 +467,30 @@ class TestSupervisorShutdown:
                        for h in supervisor._workers.values())
         finally:
             supervisor.shutdown(graceful=False)
+
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        import subprocess
+        import sys
+        # a SIGKILLed driver never reaches shutdown(); its workers must
+        # still see their channels close and exit on their own
+        driver = ("import os, signal\n"
+                  "from repro.harness.supervisor import WorkerSupervisor\n"
+                  "supervisor = WorkerSupervisor(2)\n"
+                  "print(*supervisor.pids, flush=True)\n"
+                  "os.kill(os.getpid(), signal.SIGKILL)\n")
+        run = subprocess.run([sys.executable, "-c", driver],
+                             stdout=subprocess.PIPE, text=True, timeout=30)
+        pids = [int(pid) for pid in run.stdout.split()]
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(running, pids)):
+            time.sleep(0.05)
+        assert not any(map(running, pids))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.modes import ReplayMode
-from repro.harness import SweepSpec, run_sweep, run_sweep_parallel
+from repro.harness import SweepSpec, run_sweep_parallel
 from repro.harness.parallel import expand_grid
 from repro.harness.sweep import resolve_traffic, sweep_csv, sweep_table
 
@@ -101,7 +101,7 @@ class TestGridExpansion:
 class TestExecution:
     def test_serial_parallel_parity(self):
         spec = synthetic_spec()
-        serial = run_sweep(spec)
+        serial = run_sweep_parallel(spec, jobs=1)
         parallel = run_sweep_parallel(spec, jobs=2)
         assert len(serial) == len(parallel) == 2
         for s, p in zip(serial, parallel):
@@ -123,7 +123,7 @@ class TestExecution:
             traffic={"transactions": 60, "seed": 5,
                      "pattern": "hotspot", "hot_weight": 8.0},
             loads=[0.1, 0.3, 0.5, 0.7, 0.9], patterns=None)
-        results = run_sweep(spec)
+        results = run_sweep_parallel(spec, jobs=1)
         latencies = [r.latency_avg for r in results]
         assert latencies == sorted(latencies)
         # realised load tracks offered load until (and beyond) the knee
@@ -134,14 +134,14 @@ class TestExecution:
 
 class TestRenderers:
     def test_synthetic_table_layout(self):
-        results = run_sweep(synthetic_spec())
+        results = run_sweep_parallel(synthetic_spec(), jobs=1)
         text = sweep_table(results, title="t")
         assert "load" in text and "avg lat" in text
         assert "uniform" in text
         assert "ARM cycles" not in text
 
     def test_csv_has_synthetic_columns(self):
-        results = run_sweep(synthetic_spec())
+        results = run_sweep_parallel(synthetic_spec(), jobs=1)
         text = sweep_csv(results)
         header = text.splitlines()[0]
         assert header.endswith(
@@ -197,11 +197,10 @@ class TestMixedGridRendering:
 
     @pytest.fixture(scope="class")
     def mixed_results(self):
-        from repro.harness import run_sweep
-        classic = run_sweep(SweepSpec.from_dict(
+        classic = run_sweep_parallel(SweepSpec.from_dict(
             {"benchmark": "cacheloop", "cores": [2],
-             "app_params": {"iters": 40}}))
-        synthetic = run_sweep(synthetic_spec())
+             "app_params": {"iters": 40}}), jobs=1)
+        synthetic = run_sweep_parallel(synthetic_spec(), jobs=1)
         return classic + synthetic
 
     def test_table_renders_union_layout(self, mixed_results):
