@@ -70,6 +70,7 @@ class TGMaster(Component):
             raise TGError(f"watchdog_cycles must be >= 1, "
                           f"got {watchdog_cycles}")
         self.program = program
+        self._program_crc: Optional[str] = None
         self.retry_policy = retry_policy
         self.watchdog_cycles = watchdog_cycles
         self.port = OCPMasterPort(sim, f"{name}.ocp")
@@ -136,7 +137,13 @@ class TGMaster(Component):
     # ----------------------------------------------------------- checkpoint
 
     def _program_crc32(self) -> str:
-        return crc32_hex(self.program.to_tgp().encode("utf-8"))
+        """CRC-32 of the program's ``.tgp`` text, emitted once per TG:
+        the program is fixed from construction on (``validate()`` in
+        ``__init__`` checked that very instruction list)."""
+        if self._program_crc is None:
+            self._program_crc = crc32_hex(
+                self.program.to_tgp().encode("utf-8"))
+        return self._program_crc
 
     def state_dict(self) -> dict:
         """Architectural + counter state (no scheduler entries)."""

@@ -410,30 +410,30 @@ def checkpointed_run(platform: MparmPlatform, recipe: dict,
 
     A snapshot is taken at the first quiescent cycle at or after each
     ``every``-cycle boundary (quiescence scans may overshoot slightly;
-    the next boundary is measured from the snapshot cycle).  Completion
-    semantics — deadlock detection, the livelock watchdog — match a
-    plain ``platform.run(progress_window=...)``.
+    the next boundary is measured from the snapshot cycle).  Each cadence
+    segment is one kernel call that fires every event up to the boundary
+    and leaves the clock on the last one, so a run that completes inside
+    a segment stops on its natural completion cycle.  A segment in which
+    nothing fires since the last snapshot (an idle gap longer than the
+    cadence) writes no snapshot; the boundary moves on by ``every``.
+    Completion semantics — deadlock detection, the livelock watchdog —
+    match a plain ``platform.run(progress_window=...)``.
     """
     if every < 1:
         raise SnapshotError(
             f"checkpoint cadence must be >= 1 cycle, got {every}")
     sim = platform.sim
     if not platform._started:
-        platform.start()  # run() starts lazily; we peek the queue first
-    while True:
-        boundary = sim.now + every
-        # fire cluster-by-cluster so the clock stops on the last event
-        # when the run completes inside this segment — run(until=X)
-        # would coast to X and overshoot the natural completion cycle
-        while True:
-            next_time = sim._queue.peek_time()
-            if next_time is None or next_time > boundary:
-                break
-            platform.run(until=next_time,
-                         progress_window=progress_window)
-        if sim._queue.peek_time() is None:
-            break
+        platform.start()  # the segments below bypass run()'s lazy start
+    saved_at = None                   # events_fired at the last snapshot
+    boundary = sim.now + every
+    while not sim._fire_through(boundary, progress_window=progress_window):
+        if sim.events_fired == saved_at:
+            boundary += every
+            continue
         manager.save(platform.snapshot(recipe, scan_limit))
+        saved_at = sim.events_fired
+        boundary = sim.now + every
     # drained (or finished): let the normal run path apply its
     # completion/deadlock checks
     return platform.run(progress_window=progress_window)

@@ -17,6 +17,7 @@ carry thousands of dead entries through every heap operation.
 """
 
 import heapq
+import sys
 from typing import Callable, List, NamedTuple, Optional
 
 from repro.kernel.process import Process
@@ -64,7 +65,7 @@ def _classify_entry(time: int, target) -> PendingEntry:
 
 def _fire_for(target) -> Callable[[], None]:
     """Wrap what a queue entry fires as the zero-argument callable
-    ``step()`` and the bounded ``run()`` loop expect."""
+    ``step()`` and the guarded ``run()`` loop expect."""
     cls = target.__class__
     if cls is Process:
         return target._resume
@@ -268,8 +269,14 @@ class EventQueue:
                 for time, _, _, target, event in sorted(self._heap)
                 if event is None or not event.cancelled]
 
-    def drain(self, sim) -> None:
-        """Run-to-empty dispatch (the unbounded run() path).
+    def drain(self, sim, until: Optional[int] = None) -> bool:
+        """In-line dispatch of every live entry at or before ``until``
+        (every entry, when None); returns True when the queue drained.
+
+        The clock is left on the last event fired.  The bound costs one
+        int compare per event: the first live entry later than ``until``
+        is pushed back and ends the loop, and tombstones surfacing past
+        ``until`` are discarded on the way, as :meth:`peek_time` would.
 
         The heap pop is inlined (the list identity is stable — compaction
         rebuilds it in place), with the queue's live accounting kept exact
@@ -283,10 +290,17 @@ class EventQueue:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
+        if until is None:
+            until = sys.maxsize
         fired = 0
         try:
             while heap:
-                time, _, _, target, event = heappop(heap)
+                time, priority, seq, target, event = heappop(heap)
+                if time > until:
+                    if event is None or not event.cancelled:
+                        heappush(heap, (time, priority, seq, target, event))
+                        return False
+                    continue
                 if event is not None:
                     if event.cancelled:
                         continue
@@ -323,4 +337,5 @@ class EventQueue:
                 fired += 1
         finally:
             sim._events_fired += fired
+        return True
 

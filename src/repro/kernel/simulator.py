@@ -49,13 +49,13 @@ class Simulator:
         """Advance the clock to ``time`` — monotonically, never backwards.
 
         Every clock movement outside the queue's drain loop goes through
-        this single helper (event fire, early-drain catch-up to ``until``,
-        and the ``next_time > until`` stop), so no path can reintroduce
-        the PR 2 clock-rewind bug: a ``run(until=earlier)`` after a later
-        stop is a no-op, and queue invariants (events never scheduled in
-        the past) make the event-fire case equivalent to plain assignment.
-        The queue's run-to-drain loop assigns ``_now`` directly but pops
-        times in non-decreasing order, preserving the same invariant.
+        this single helper (an event fire in the guarded loop, and
+        :meth:`run`'s coast to ``until``), so a ``run(until=earlier)``
+        after a later stop is a no-op and can never rewind the clock;
+        queue invariants (events never scheduled in the past) make the
+        event-fire case equivalent to plain assignment.  The drain loop
+        assigns ``_now`` directly but pops times in non-decreasing order,
+        preserving the same invariant.
         """
         if time > self._now:
             self._now = time
@@ -154,6 +154,11 @@ class Simulator:
             progress_window: Optional[int] = None) -> int:
         """Run the event loop.
 
+        Unless ``max_events`` or ``progress_window`` is set, events fire
+        in the queue's in-line dispatch loop (:meth:`EventQueue.drain`),
+        bounded by ``until`` or not; the guarded per-event loop serves
+        only those two guards.
+
         Args:
             until: Stop once simulation time would pass this cycle (events at
                 exactly ``until`` still fire).  Time always advances to
@@ -173,24 +178,11 @@ class Simulator:
         Returns:
             The simulation time when the loop stopped.
         """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        if progress_window is not None and progress_window < 1:
-            raise SimulationError(
-                f"progress_window must be >= 1, got {progress_window}")
-        self._running = True
-        drained = False
-        try:
-            if until is None and max_events is None and progress_window is None:
-                # Fast path: run-to-drain with no per-event bound checks,
-                # delegated to the queue's in-line dispatch loop.
-                self._queue.drain(self)
-                drained = True
-            else:
-                drained = self._run_bounded(until, max_events,
-                                            progress_window)
-        finally:
-            self._running = False
+        drained = self._fire_through(until, max_events, progress_window)
+        # coast to `until` unless max_events stopped short of it
+        if until is not None and (max_events is None or drained
+                                  or self._queue.peek_time() > until):
+            self._advance_clock(until)
         if check_deadlock and drained:
             stuck = self.live_processes
             if stuck:
@@ -200,31 +192,43 @@ class Simulator:
                 )
         return self._now
 
+    def _fire_through(self, until: Optional[int],
+                      max_events: Optional[int] = None,
+                      progress_window: Optional[int] = None) -> bool:
+        """Fire every event at or before ``until`` (every event, when
+        None) and leave the clock on the last one fired — :meth:`run`
+        without the coast, which is what lets a checkpointed run stop on
+        its natural completion cycle.  Returns True when the queue
+        drained."""
+        if self._running:
+            raise SimulationError("simulator is already running")
+        if progress_window is not None and progress_window < 1:
+            raise SimulationError(
+                f"progress_window must be >= 1, got {progress_window}")
+        self._running = True
+        try:
+            if max_events is None and progress_window is None:
+                return self._queue.drain(self, until)
+            return self._run_bounded(until, max_events, progress_window)
+        finally:
+            self._running = False
+
     def _run_bounded(self, until: Optional[int], max_events: Optional[int],
                      progress_window: Optional[int]) -> bool:
-        """The guarded event loop (any of the run() bounds set)."""
+        """The guarded event loop (``max_events`` or ``progress_window``
+        set); returns True when the queue drained."""
         queue = self._queue
         fired = 0
         stagnant = 0
-        drained = False
         try:
             while True:
                 next_time = queue.peek_time()
                 if next_time is None:
-                    drained = True
-                    # the queue drained before `until`: the caller asked
-                    # for time to pass to that cycle, so advance the clock
-                    # there (monotonically — see _advance_clock)
-                    if until is not None:
-                        self._advance_clock(until)
-                    break
+                    return True
                 if until is not None and next_time > until:
-                    # stop short of the next event; a later
-                    # run(until=earlier) call must not rewind the clock
-                    self._advance_clock(until)
-                    break
+                    return False
                 if max_events is not None and fired >= max_events:
-                    break
+                    return False
                 time, fire = queue.pop_entry()
                 if progress_window is not None:
                     if time > self._now:
@@ -241,7 +245,6 @@ class Simulator:
                 fired += 1
         finally:
             self._events_fired += fired
-        return drained
 
     def blocked_report(self, limit: int = 8) -> str:
         """Human-readable list of live processes and what each waits on."""

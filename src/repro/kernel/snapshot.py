@@ -96,6 +96,24 @@ def state_get(state, key: str, owner: str):
     return state[key]
 
 
+def _bind_probes(components: Dict[str, object]):
+    """The components' quiescence methods, looked up once:
+    ``(blocker probes, entry claimers, owned-idle getters)``, the first
+    two as ``(name, method)`` pairs, all in registry order."""
+    probes, claimers, idlers = [], [], []
+    for name, component in components.items():
+        probe = getattr(component, "checkpoint_blockers", None)
+        if probe is not None:
+            probes.append((name, probe))
+        claim = getattr(component, "claim_entry", None)
+        if claim is not None:
+            claimers.append((name, claim))
+        getter = getattr(component, "owned_idle_processes", None)
+        if getter is not None:
+            idlers.append(getter)
+    return probes, claimers, idlers
+
+
 def quiescence_check(sim, components: Dict[str, object],
                      ) -> Tuple[List[str], List[dict]]:
     """One quiescence probe at the current cycle.
@@ -104,21 +122,22 @@ def quiescence_check(sim, components: Dict[str, object],
     snapshottable (empty = quiescent) and, when quiescent, the claimed
     pending-entry list in global firing order.
     """
+    return _quiescence_check(sim, *_bind_probes(components))
+
+
+def _quiescence_check(sim, probes, claimers, idlers,
+                      ) -> Tuple[List[str], List[dict]]:
+    """:func:`quiescence_check` over methods bound by :func:`_bind_probes`."""
     blockers: List[str] = []
-    for name, component in components.items():
-        probe = getattr(component, "checkpoint_blockers", None)
-        if probe is not None:
-            blockers.extend(f"{name}: {reason}" for reason in probe())
+    for name, probe in probes:
+        blockers.extend(f"{name}: {reason}" for reason in probe())
 
     claims: List[dict] = []
     claimed_processes = set()
     for entry in sim._queue.pending_entries():
         slot = None
         owner = None
-        for name, component in components.items():
-            claim = getattr(component, "claim_entry", None)
-            if claim is None:
-                continue
+        for name, claim in claimers:
             slot = claim(entry)
             if slot is not None:
                 owner = name
@@ -135,10 +154,8 @@ def quiescence_check(sim, components: Dict[str, object],
                 claimed_processes.add(id(entry.process))
 
     owned = set()
-    for component in components.values():
-        getter = getattr(component, "owned_idle_processes", None)
-        if getter is not None:
-            owned.update(id(process) for process in getter())
+    for getter in idlers:
+        owned.update(id(process) for process in getter())
     for process in sim.live_processes:
         if id(process) in claimed_processes or id(process) in owned:
             continue
@@ -154,24 +171,35 @@ def advance_to_quiescence(sim, components: Dict[str, object],
 
     The scan fires whole event-time clusters (``run(until=next)``), so
     each probe happens at a cycle boundary with every same-cycle cascade
-    settled.  Raises :class:`SnapshotError` if the queue drains while
-    blockers remain (the simulation can never quiesce — e.g. a true
-    deadlock) or the scan exceeds ``scan_limit`` cycles.
+    settled.  At each step the components' cheap ``checkpoint_blockers``
+    probes run first; the full :func:`quiescence_check` (every pending
+    entry against every claimer, every live process) runs only when none
+    of them reports the component busy.  Raises :class:`SnapshotError`
+    with the full blocker list if the queue drains while blockers remain
+    (the simulation can never quiesce — e.g. a true deadlock) or the scan
+    exceeds ``scan_limit`` cycles.
     """
+    probes, claimers, idlers = _bind_probes(components)
     start = sim.now
     while True:
-        blockers, claims = quiescence_check(sim, components)
-        if not blockers:
-            return claims
+        for _, probe in probes:
+            if probe():
+                break
+        else:                         # no component reports itself busy
+            blockers, claims = _quiescence_check(sim, probes, claimers,
+                                                 idlers)
+            if not blockers:
+                return claims
         next_time = sim._queue.peek_time()
-        if next_time is None:
-            raise SnapshotError(
-                f"no quiescent cycle reachable: the event queue drained "
-                f"at cycle {sim.now} with state still in flight "
-                f"({'; '.join(blockers[:4])})",
-                hint="the simulation is deadlocked or a component is "
-                     "not checkpoint-aware")
-        if next_time - start > scan_limit:
+        if next_time is None or next_time - start > scan_limit:
+            blockers, _ = _quiescence_check(sim, probes, claimers, idlers)
+            if next_time is None:
+                raise SnapshotError(
+                    f"no quiescent cycle reachable: the event queue "
+                    f"drained at cycle {sim.now} with state still in "
+                    f"flight ({'; '.join(blockers[:4])})",
+                    hint="the simulation is deadlocked or a component "
+                         "is not checkpoint-aware")
             raise SnapshotError(
                 f"no quiescent cycle within {scan_limit} cycles of "
                 f"{start} (stopped at {sim.now}: "

@@ -131,6 +131,43 @@ class TestQuiescence:
         assert "no quiescent cycle within 50" in str(excinfo.value)
         assert excinfo.value.exit_code == EXIT_SNAPSHOT
 
+    def test_full_check_waits_for_the_blocker_probes(self):
+        sim = Simulator()
+        ticker = Ticker(sim, period=1)
+        claimed = []
+        claim = ticker.claim_entry
+
+        def counting_claim(entry):
+            claimed.append(sim.now)
+            return claim(entry)
+
+        ticker.claim_entry = counting_claim
+
+        class Gate(Blocked):
+            def checkpoint_blockers(self):
+                return [] if sim.now >= 25 else ["warming up"]
+
+        claims = advance_to_quiescence(sim, {"ticker": ticker,
+                                             "gate": Gate()})
+        assert sim.now == 25
+        assert claimed == [25]
+        assert claims == [{"owner": "ticker",
+                           "slot": {"kind": "tick", "at": 26}}]
+
+    def test_scan_error_lists_every_blocker(self):
+        sim = Simulator()
+        components = {"ticker": Ticker(sim), "wall": Blocked()}
+        sim.schedule_at(1000, lambda: None)
+        with pytest.raises(SnapshotError) as excinfo:
+            advance_to_quiescence(sim, components, scan_limit=50)
+        blockers, _ = quiescence_check(sim, components)
+        assert blockers == [
+            "wall: stuck",
+            "unclaimed queue entry at cycle 1000: an opaque event callback"]
+        assert str(excinfo.value).startswith(
+            f"no quiescent cycle within 50 cycles of 0 (stopped at "
+            f"{sim.now}: {'; '.join(blockers)})")
+
     def test_drained_queue_with_blockers_raises(self):
         sim = Simulator()
         with pytest.raises(SnapshotError) as excinfo:
