@@ -83,14 +83,32 @@ class TGProgram:
         self.pool.extend(words)
         return offset
 
+    #: ``(instructions, pool size)`` as of the last successful
+    #: :meth:`validate`; None until the program has passed once.
+    _validated_as = None
+
     def validate(self) -> None:
-        """Check every instruction; raises :class:`TGError` on problems."""
-        if not self.instructions:
+        """Check every instruction; raises :class:`TGError` on problems.
+
+        Programs are validated where they are made or read in (the
+        translator, ``parse_tgp``, ``disassemble_binary``, the synthetic
+        generator).  A later call on a program unchanged since it last
+        passed — the assembler's, each ``TGMaster``'s — only compares the
+        instruction list with that copy, so a program edited in between
+        is checked in full again.
+        """
+        instructions = self.instructions
+        checked = self._validated_as
+        if (checked is not None and checked[1] == len(self.pool)
+                and checked[0] == instructions):
+            return
+        if not instructions:
             raise TGError("empty TG program")
-        if self.instructions[-1].op not in (TGOp.HALT, TGOp.JUMP):
+        if instructions[-1].op not in (TGOp.HALT, TGOp.JUMP):
             raise TGError("program must end with Halt (or a Jump loop)")
-        for instr in self.instructions:
-            instr.validate(len(self.instructions), len(self.pool))
+        for instr in instructions:
+            instr.validate(len(instructions), len(self.pool))
+        self._validated_as = (list(instructions), len(self.pool))
 
     # ------------------------------------------------------------ equality
 

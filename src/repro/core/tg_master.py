@@ -39,6 +39,25 @@ from repro.core.program import TGProgram
 from repro.ocp import OCPMasterPort
 from repro.ocp.types import OCPCommand, Request
 
+# Opcodes and commands the interpreter tests per instruction, as module
+# constants: a global lookup is several times cheaper than an attribute
+# lookup on an Enum class.
+_IDLE = TGOp.IDLE
+_SET_REGISTER = TGOp.SET_REGISTER
+_READ = TGOp.READ
+_WRITE = TGOp.WRITE
+_BURST_READ = TGOp.BURST_READ
+_BURST_WRITE = TGOp.BURST_WRITE
+_READ_NB = TGOp.READ_NB
+_FENCE = TGOp.FENCE
+_IF = TGOp.IF
+_JUMP = TGOp.JUMP
+_HALT = TGOp.HALT
+_CMD_READ = OCPCommand.READ
+_CMD_WRITE = OCPCommand.WRITE
+_CMD_BURST_READ = OCPCommand.BURST_READ
+_CMD_BURST_WRITE = OCPCommand.BURST_WRITE
+
 
 class TGMaster(Component):
     """A traffic generator occupying a master socket.
@@ -65,6 +84,7 @@ class TGMaster(Component):
                  retry_policy: Optional[RetryPolicy] = None,
                  watchdog_cycles: Optional[int] = None):
         super().__init__(sim, name)
+        # a comparison only, for a program validated where it was made
         program.validate()
         if watchdog_cycles is not None and watchdog_cycles < 1:
             raise TGError(f"watchdog_cycles must be >= 1, "
@@ -275,22 +295,33 @@ class TGMaster(Component):
 
     def _transact(self, cmd: OCPCommand, addr: int, data=None,
                   burst_len: int = 1):
-        """One OCP transaction with optional watchdog and retry-on-error.
+        """One OCP transaction: the TG's only frame below the interpreter.
 
-        Wraps :meth:`_transact_attempts` with latency bookkeeping only —
-        no extra yields, so simulated timing and event counts are
-        bit-identical to the unwrapped transaction.  Latency is measured
-        from issue to unblock: response arrival for reads, command
-        accept for posted writes (whose beats drain in the background).
+        The common case is exactly ``port.transaction(Request(...))`` plus
+        latency bookkeeping.  The watchdog and retry loop
+        (:meth:`_transact_attempts`) is entered only when a watchdog is
+        set or a response carries the error flag; neither adds a yield,
+        so simulated timing and event counts are those of the bare port
+        transaction.  Latency is measured from issue to unblock: response
+        arrival for reads, command accept for posted writes (whose beats
+        drain in the background).
         """
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
         self._txn_depth += 1
         try:
-            response = yield from self._transact_attempts(cmd, addr, data,
-                                                          burst_len)
+            if self.watchdog_cycles is None:
+                request = Request(cmd, addr, data, burst_len)
+                response = yield from self.port.transaction(request)
+                if response is not None and response.error:
+                    response = yield from self._transact_attempts(
+                        cmd, addr, data, burst_len, request, response)
+            else:
+                response = yield from self._transact_attempts(
+                    cmd, addr, data, burst_len)
         finally:
             self._txn_depth -= 1
-        elapsed = self.sim.now - start
+        elapsed = sim.now - start
         self.ocp_transactions += 1
         self.ocp_beats += burst_len
         self.ocp_latency_cycles += elapsed
@@ -298,13 +329,14 @@ class TGMaster(Component):
             self.ocp_latency_max = elapsed
         return response
 
-    def _transact_attempts(self, cmd: OCPCommand, addr: int, data=None,
-                           burst_len: int = 1):
-        """The transaction loop proper (watchdog + retry-on-error).
+    def _transact_attempts(self, cmd: OCPCommand, addr: int, data,
+                           burst_len: int, request: Optional[Request] = None,
+                           response=None):
+        """The watchdog and retry-on-error loop.
 
-        With neither feature configured this is exactly
-        ``port.transaction(Request(...))`` — same requests, same yields,
-        same event count as the pre-resilience TG.
+        Entered from :meth:`_transact` either with the first attempt's
+        erroring ``request`` and ``response`` in hand, or with neither
+        when a watchdog guards every attempt, the first included.
         """
         policy = self.retry_policy
         watchdog = self.watchdog_cycles
@@ -312,21 +344,22 @@ class TGMaster(Component):
         port = self.port
         failures = 0
         while True:
-            request = Request(cmd, addr, data, burst_len)
-            if watchdog is None:
-                response = yield from port.transaction(request)
-            else:
-                # the guard event is cancelled on response; the queue
-                # compacts these tombstones, so per-request watchdogs stay
-                # cheap even over millions of transactions
-                txn = sim.spawn(
-                    port.transaction(request),
-                    name=f"{self.name}.txn#{request.uid}")
-                guard = sim.schedule_after(
-                    watchdog,
-                    lambda p=txn, r=request: self._watchdog_expired(p, r))
-                response = yield txn
-                guard.cancel()
+            if request is None:
+                request = Request(cmd, addr, data, burst_len)
+                if watchdog is None:
+                    response = yield from port.transaction(request)
+                else:
+                    # the guard event is cancelled on response; the queue
+                    # compacts these tombstones, so per-request watchdogs
+                    # stay cheap even over millions of transactions
+                    txn = sim.spawn(
+                        port.transaction(request),
+                        name=f"{self.name}.txn#{request.uid}")
+                    guard = sim.schedule_after(
+                        watchdog,
+                        lambda p=txn, r=request: self._watchdog_expired(p, r))
+                    response = yield txn
+                    guard.cancel()
             if response is None or not response.error:
                 return response
             self.error_responses += 1
@@ -347,11 +380,7 @@ class TGMaster(Component):
             self.retry_backoff_cycles += backoff
             if backoff:
                 yield backoff
-
-    def _read_word(self, addr: int):
-        """Single read via :meth:`_transact`; returns the data word."""
-        response = yield from self._transact(OCPCommand.READ, addr)
-        return response.word
+            request = None
 
     def _watchdog_expired(self, txn, request: Request) -> None:
         if not txn.alive:  # completed on the same cycle the guard fired
@@ -375,67 +404,69 @@ class TGMaster(Component):
             self.pc += 1
             self.instructions_executed += 1
             op = instr.op
-            if op == TGOp.IDLE:
+            if op == _IDLE:
                 if instr.imm:
                     yield instr.imm
-            elif op == TGOp.SET_REGISTER:
+            elif op == _SET_REGISTER:
                 regs[instr.a] = instr.imm
                 yield 1
-            elif op == TGOp.READ:
+            elif op == _READ:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (TGOp.READ, regs[instr.a], None))
+                        (_READ, regs[instr.a], None))
                 else:
-                    regs[RDREG] = yield from self._read_word(regs[instr.a])
-            elif op == TGOp.WRITE:
+                    response = yield from self._transact(_CMD_READ,
+                                                         regs[instr.a])
+                    regs[RDREG] = response.word
+            elif op == _WRITE:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (TGOp.WRITE, regs[instr.a], regs[instr.b]))
+                        (_WRITE, regs[instr.a], regs[instr.b]))
                 else:
-                    yield from self._transact(OCPCommand.WRITE,
+                    yield from self._transact(_CMD_WRITE,
                                               regs[instr.a], regs[instr.b])
-            elif op == TGOp.BURST_READ:
+            elif op == _BURST_READ:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (TGOp.BURST_READ, regs[instr.a], instr.b))
+                        (_BURST_READ, regs[instr.a], instr.b))
                 else:
                     response = yield from self._transact(
-                        OCPCommand.BURST_READ, regs[instr.a],
+                        _CMD_BURST_READ, regs[instr.a],
                         burst_len=instr.b)
                     regs[RDREG] = response.words[-1]
-            elif op == TGOp.BURST_WRITE:
+            elif op == _BURST_WRITE:
                 data = pool[instr.imm:instr.imm + instr.b]
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (TGOp.BURST_WRITE, regs[instr.a], data))
+                        (_BURST_WRITE, regs[instr.a], data))
                 else:
                     yield from self._transact(
-                        OCPCommand.BURST_WRITE, regs[instr.a], list(data),
+                        _CMD_BURST_WRITE, regs[instr.a], list(data),
                         burst_len=len(data))
-            elif op == TGOp.READ_NB:
+            elif op == _READ_NB:
                 # out-of-order extension: the read retires in the
                 # background; the program continues after a 1-cycle issue
                 reader = self.sim.spawn(
-                    self._read_word(regs[instr.a]),
+                    self._transact(_CMD_READ, regs[instr.a]),
                     name=f"{self.name}.nb#{self.instructions_executed}")
                 self._outstanding.append(reader)
                 self.max_outstanding_observed = max(
                     self.max_outstanding_observed,
                     sum(1 for p in self._outstanding if p.alive))
                 yield 1
-            elif op == TGOp.FENCE:
+            elif op == _FENCE:
                 for reader in self._outstanding:
                     if reader.alive:
                         yield reader
                 self._outstanding = []
-            elif op == TGOp.IF:
+            elif op == _IF:
                 if Cond(instr.cond).evaluate(regs[instr.a], regs[instr.b]):
                     self.pc = instr.imm
                 yield 1
-            elif op == TGOp.JUMP:
+            elif op == _JUMP:
                 self.pc = instr.imm
                 yield 1
-            elif op == TGOp.HALT:
+            elif op == _HALT:
                 # implicit fence: completion means all traffic retired
                 for reader in self._outstanding:
                     if reader.alive:
@@ -465,15 +496,16 @@ class TGMaster(Component):
             if entry is None:
                 return
             op, addr, operand = entry
-            if op == TGOp.READ:
-                regs[RDREG] = yield from self._read_word(addr)
-            elif op == TGOp.WRITE:
-                yield from self._transact(OCPCommand.WRITE, addr, operand)
-            elif op == TGOp.BURST_READ:
+            if op == _READ:
+                response = yield from self._transact(_CMD_READ, addr)
+                regs[RDREG] = response.word
+            elif op == _WRITE:
+                yield from self._transact(_CMD_WRITE, addr, operand)
+            elif op == _BURST_READ:
                 response = yield from self._transact(
-                    OCPCommand.BURST_READ, addr, burst_len=operand)
+                    _CMD_BURST_READ, addr, burst_len=operand)
                 regs[RDREG] = response.words[-1]
-            elif op == TGOp.BURST_WRITE:
-                yield from self._transact(OCPCommand.BURST_WRITE, addr,
+            elif op == _BURST_WRITE:
+                yield from self._transact(_CMD_BURST_WRITE, addr,
                                           list(operand),
                                           burst_len=len(operand))

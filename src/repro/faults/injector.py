@@ -53,7 +53,7 @@ class FaultInjector:
         """Should this slave access answer with an error response?"""
         if not self.spec.slave_errors:
             return False
-        is_read = request.cmd.is_read
+        is_read = request.is_read
         for index, rule in enumerate(self.spec.slave_errors):
             if not rule.matches(slave_name, request.addr, is_read):
                 continue

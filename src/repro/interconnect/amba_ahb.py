@@ -97,7 +97,7 @@ class AmbaAhbBus(Fabric):
         if self.address_phase_cycles:
             yield self.address_phase_cycles
         self._accept(request)
-        if request.cmd.is_write:
+        if not request.is_read:
             # Posted write: master resumes now; the bus is held until the
             # write data phase completes at the slave.
             self.sim.spawn(self._complete_write(master_id, request, range_),

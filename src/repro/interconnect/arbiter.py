@@ -15,16 +15,7 @@ oldest-first.
 
 from typing import Dict, List, Optional
 
-from repro.kernel import SimulationError, Simulator
-
-
-class _Entry:
-    __slots__ = ("master_id", "signal", "request_time")
-
-    def __init__(self, master_id: int, signal, request_time: int):
-        self.master_id = master_id
-        self.signal = signal
-        self.request_time = request_time
+from repro.kernel import SimulationError, Signal, Simulator
 
 
 class Arbiter:
@@ -37,7 +28,9 @@ class Arbiter:
         self.sim = sim
         self.name = name
         self.arbitration_cycles = arbitration_cycles
-        self._entries: List[_Entry] = []   # request order
+        # (master_id, grant signal, request time), in request order
+        self._entries: List[tuple] = []
+        self._grant_names: Dict[int, str] = {}
         self._owner: Optional[int] = None
         self._decision_scheduled = False
         # statistics
@@ -62,7 +55,7 @@ class Arbiter:
     @property
     def pending(self) -> List[int]:
         """Master ids of queued requests, oldest first (may repeat)."""
-        return [entry.master_id for entry in self._entries]
+        return [entry[0] for entry in self._entries]
 
     def acquire(self, master_id: int):
         """Request ownership (generator); returns once granted.
@@ -71,11 +64,16 @@ class Arbiter:
         holding the bus, split-transaction reads); they are served
         oldest-first whenever the policy selects that master.
         """
-        signal = self.sim.signal(f"{self.name}.grant{master_id}")
-        self._entries.append(_Entry(master_id, signal, self.sim.now))
+        sim = self.sim
+        name = self._grant_names.get(master_id)
+        if name is None:
+            name = self._grant_names[master_id] = \
+                f"{self.name}.grant{master_id}"
+        signal = Signal(sim, name)
+        self._entries.append((master_id, signal, sim.now))
         if self._owner is None and not self._decision_scheduled:
             self._decision_scheduled = True
-            self.sim.schedule_after(self.arbitration_cycles, self._decide)
+            sim.call_after(self.arbitration_cycles, self._decide)
         yield signal
 
     def release(self, master_id: int) -> None:
@@ -88,7 +86,7 @@ class Arbiter:
         self._owner = None
         if self._entries and not self._decision_scheduled:
             self._decision_scheduled = True
-            self.sim.schedule_after(0, self._decide)
+            self.sim.call_after(0, self._decide)
 
     # ----------------------------------------------------------- checkpoint
 
@@ -140,24 +138,27 @@ class Arbiter:
 
     def _decide(self) -> None:
         self._decision_scheduled = False
-        if self._owner is not None or not self._entries:
+        entries = self._entries
+        if self._owner is not None or not entries:
             return
-        winner_id = self._choose([entry.master_id
-                                  for entry in self._entries])
-        for slot, entry in enumerate(self._entries):
-            if entry.master_id == winner_id:
-                break
-        else:  # pragma: no cover - _choose returns a pending id
-            raise SimulationError(f"{self.name}: policy chose non-pending "
-                                  f"master {winner_id}")
-        entry = self._entries.pop(slot)
-        self._owner = winner_id
-        self._owned_since = self.sim.now
+        winner_id = self._choose([entry[0] for entry in entries])
+        for slot, entry in enumerate(entries):
+            if entry[0] == winner_id:
+                self._grant(entries.pop(slot))
+                return
+        raise SimulationError(  # pragma: no cover - _choose picks a pending id
+            f"{self.name}: policy chose non-pending master {winner_id}")
+
+    def _grant(self, entry: tuple) -> None:
+        """Hand the resource to a dequeued request entry and wake it."""
+        master_id, signal, request_time = entry
+        now = self.sim.now
+        self._owner = master_id
+        self._owned_since = now
         self.grants += 1
-        waited = self.sim.now - entry.request_time
-        self.wait_cycles[winner_id] = (
-            self.wait_cycles.get(winner_id, 0) + waited)
-        entry.signal.notify()
+        self.wait_cycles[master_id] = (
+            self.wait_cycles.get(master_id, 0) + now - request_time)
+        signal.notify()
 
 
 class FixedPriorityArbiter(Arbiter):
@@ -233,26 +234,17 @@ class TdmaArbiter(Arbiter):
 
     def _decide(self) -> None:
         self._decision_scheduled = False
-        if self._owner is not None or not self._entries:
+        entries = self._entries
+        if self._owner is not None or not entries:
             return
         slot_master = self.current_slot_master()
-        if any(entry.master_id == slot_master for entry in self._entries):
-            for slot, entry in enumerate(self._entries):
-                if entry.master_id == slot_master:
-                    break
-            entry = self._entries.pop(slot)
-            self._owner = slot_master
-            self._owned_since = self.sim.now
-            self.grants += 1
-            waited = self.sim.now - entry.request_time
-            self.wait_cycles[slot_master] = (
-                self.wait_cycles.get(slot_master, 0) + waited)
-            entry.signal.notify()
-            return
+        for slot, entry in enumerate(entries):
+            if entry[0] == slot_master:
+                self._grant(entries.pop(slot))
+                return
         # nobody owns the current slot: re-evaluate at the next slot edge
         self._decision_scheduled = True
-        self.sim.schedule_after(self._cycles_to_next_slot_edge(),
-                                self._decide)
+        self.sim.call_after(self._cycles_to_next_slot_edge(), self._decide)
 
     def _choose(self, pending: List[int]) -> int:  # pragma: no cover
         raise SimulationError("TDMA grants by slot, not by choice")

@@ -19,7 +19,7 @@ class FabricStats:
 
     def record(self, master_id: int, request: Request) -> None:
         self.transactions += 1
-        if request.cmd.is_read:
+        if request.is_read:
             self.read_transactions += 1
         else:
             self.write_transactions += 1
@@ -35,8 +35,8 @@ class Fabric(Component):
     ``transport(master_id, request)``: a generator that performs the whole
     transaction and returns a :class:`Response` for reads (``None`` for
     writes).  Write transport returns to the caller at *command accept*
-    (posted-write semantics); the fabric must invoke ``request.on_accept()``
-    exactly once at the accept instant for every request.
+    (posted-write semantics); the fabric must call :meth:`_accept` exactly
+    once at the accept instant for every request.
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -126,9 +126,12 @@ class Fabric(Component):
             return 0
         return self.fault_injector.hop_delay(self.name)
 
-    @staticmethod
-    def _accept(request: Request) -> None:
-        """Fire the accept callback exactly once."""
-        if request.on_accept is not None:
-            callback, request.on_accept = request.on_accept, None
-            callback()
+    def _accept(self, request: Request) -> None:
+        """The OCP accept instant: stamp ``accept_time`` and notify the
+        issuing port's monitors, if it has any."""
+        now = self.sim.now
+        request.accept_time = now
+        monitors = request.monitors
+        if monitors:
+            for monitor in monitors:
+                monitor.on_accept(now, request)

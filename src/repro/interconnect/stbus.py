@@ -117,7 +117,7 @@ class STBusFabric(Fabric):
             yield self.request_latency
         yield from arbiter.acquire(master_id)
         self._accept(request)
-        if request.cmd.is_write:
+        if not request.is_read:
             self.sim.spawn(
                 self._complete_write(master_id, request, range_, arbiter),
                 name=f"{self.name}.wr#{request.uid}")

@@ -48,7 +48,7 @@ class TlmFabric(Fabric):
             yield stall
         if self.request_latency:
             yield self.request_latency
-        if request.cmd.is_write:
+        if not request.is_read:
             # Command accepted once it reaches the slave side; the write
             # completes in the background while the master proceeds.
             self._accept(request)

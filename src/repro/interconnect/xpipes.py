@@ -277,7 +277,7 @@ class MasterNI(NetworkInterface):
         yield from self._inject(packet)
         # Command (and write data) fully handed to the network: OCP accept.
         self.noc._accept(request)
-        if request.cmd.is_write:
+        if not request.is_read:
             return None
         signal = self.sim.signal(f"{self.name}.resp#{request.uid}")
         self._pending[request.uid] = signal
@@ -327,7 +327,7 @@ class SlaveNI(NetworkInterface):
         finally:
             self._pending -= 1
             self._buffer_free.notify()
-        if packet.request.cmd.is_read:
+        if packet.request.is_read:
             flits = self.noc.response_flit_count(packet.request)
             reply = Packet(packet.uid, self.coords, packet.src, flits,
                            packet.request, response, is_request=False)
@@ -469,7 +469,7 @@ class XpipesNoc(Fabric):
 
     def request_flit_count(self, request: Request) -> int:
         """Header + address flit + one flit per write data beat."""
-        data_beats = request.burst_len if request.cmd.is_write else 0
+        data_beats = 0 if request.is_read else request.burst_len
         return 2 + data_beats
 
     def response_flit_count(self, request: Request) -> int:
@@ -599,6 +599,3 @@ class XpipesNoc(Fabric):
             raise OCPError(f"master {master_id} not attached to {self.name!r}")
         response = yield from ni.send_request(request)
         return response
-
-    def _accept(self, request: Request) -> None:
-        Fabric._accept(request)

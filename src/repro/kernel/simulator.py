@@ -107,6 +107,15 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         return self._queue.push(self._now + delay, priority, fn)
 
+    def call_after(self, delay: int, fn: Callable[[], None]) -> None:
+        """:meth:`schedule_after` at priority 0 without the cancellable
+        handle: the entry fires at the same time, priority and sequence
+        position, but nothing is allocated beyond the heap tuple.  For
+        callbacks nobody ever cancels (arbiter grant decisions)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
+        self._queue.push_fn(self._now + delay, fn)
+
     def schedule_at(self, time: int, fn: Callable[[], None],
                     priority: int = 0) -> Event:
         """Schedule ``fn`` at an absolute cycle ``time >= now``."""

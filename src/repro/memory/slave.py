@@ -78,7 +78,8 @@ class MemorySlave(Component):
 
     def access(self, request: Request):
         """Serve a request (generator): consume access time, move data."""
-        service = self.timings.cycles(request.burst_len)
+        burst_len = request.burst_len
+        service = self.timings.cycles(burst_len)
         if service:
             yield service
         injector = self.fault_injector
@@ -88,21 +89,27 @@ class MemorySlave(Component):
             # (and recognisably bogus beats, so a master that ignores the
             # flag computes on garbage rather than silently-correct values).
             self.error_responses_sent += 1
-            if request.cmd.is_read:
-                data = ([ERROR_DATA] * request.burst_len
-                        if request.cmd.is_burst else ERROR_DATA)
+            if request.is_read:
+                data = ([ERROR_DATA] * burst_len
+                        if request.is_burst else ERROR_DATA)
                 return Response(request, data, error=True)
             return Response(request, error=True)
-        if request.cmd.is_read:
+        if not request.is_burst:
+            offset = self._offset(request.addr)
+            if request.is_read:
+                self.reads += 1
+                return Response(request, self.read_location(offset))
+            self.write_location(offset, request.data)
+            self.writes += 1
+            return Response(request)
+        if request.is_read:
             words = [self.read_location(self._offset(addr))
                      for addr in request.beat_addresses]
-            self.reads += request.burst_len
-            data = words if request.cmd.is_burst else words[0]
-            return Response(request, data)
-        words = request.data if request.cmd.is_burst else [request.data]
-        for addr, word in zip(request.beat_addresses, words):
+            self.reads += burst_len
+            return Response(request, words)
+        for addr, word in zip(request.beat_addresses, request.data):
             self.write_location(self._offset(addr), word)
-        self.writes += request.burst_len
+        self.writes += burst_len
         return Response(request)
 
     # ----------------------------------------------------------- checkpoint

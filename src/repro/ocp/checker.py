@@ -81,7 +81,7 @@ class ProtocolChecker(PortMonitor):
             raise ProtocolViolation(
                 f"{self.name}: double accept (uid {request.uid})")
         entry.accepted = True
-        if request.cmd.is_write:
+        if not request.is_read:
             # write completes at accept from the master's view
             del self._in_flight[request.uid]
             self.transactions_checked += 1
@@ -94,7 +94,7 @@ class ProtocolChecker(PortMonitor):
             raise ProtocolViolation(
                 f"{self.name}: response without outstanding read "
                 f"(uid {request.uid})")
-        if not request.cmd.is_read:
+        if not request.is_read:
             raise ProtocolViolation(
                 f"{self.name}: response to a write (uid {request.uid})")
         if not entry.accepted:

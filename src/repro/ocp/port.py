@@ -63,24 +63,29 @@ class OCPMasterPort(Component):
         """Run one OCP transaction (generator; drive with ``yield from``).
 
         Returns the :class:`Response` for reads, ``None`` for writes.
+        Monitors see the request here, the accept from the fabric (it
+        stamps ``accept_time`` and notifies ``request.monitors``) and the
+        response here again; with no monitor attached none of that
+        costs more than one truth test.
         """
-        if self._fabric is None:
+        fabric = self._fabric
+        if fabric is None:
             raise OCPError(f"port {self.name!r} is not bound to a fabric")
+        sim = self.sim
         request.master_id = self._master_id
-        request.issue_time = self.sim.now
-        if self._monitors:
-            for monitor in self._monitors:
-                monitor.on_request(self.sim.now, request)
-            request.on_accept = lambda: self._notify_accept(request)
-        else:
-            request.on_accept = lambda: self._record_accept(request)
+        request.issue_time = sim.now
+        monitors = self._monitors
+        if monitors:
+            request.monitors = monitors
+            for monitor in monitors:
+                monitor.on_request(sim.now, request)
         self.transactions_issued += 1
-        response = yield from self._fabric.transport(self._master_id, request)
-        if request.cmd.is_read:
+        response = yield from fabric.transport(self._master_id, request)
+        if request.is_read:
             if response is None:
                 raise OCPError(f"fabric returned no response for {request!r}")
             for monitor in self._monitors:
-                monitor.on_response(self.sim.now, request, response)
+                monitor.on_response(sim.now, request, response)
             return response
         return None
 
@@ -106,16 +111,6 @@ class OCPMasterPort(Component):
         yield from self.transaction(
             Request(OCPCommand.BURST_WRITE, addr, list(data),
                     burst_len=len(data)))
-
-    # ------------------------------------------------------------ internal
-
-    def _record_accept(self, request: Request) -> None:
-        request.accept_time = self.sim.now
-
-    def _notify_accept(self, request: Request) -> None:
-        request.accept_time = self.sim.now
-        for monitor in self._monitors:
-            monitor.on_accept(self.sim.now, request)
 
 
 class OCPSlavePort(Component):

@@ -2,7 +2,7 @@
 
 import enum
 import itertools
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 #: Bytes per data word.  The platform is a 32-bit system throughout.
 WORD_BYTES = 4
@@ -42,6 +42,10 @@ class OCPCommand(enum.Enum):
 
 
 _request_ids = itertools.count()
+_READ = OCPCommand.READ
+_WRITE = OCPCommand.WRITE
+_BURST_READ = OCPCommand.BURST_READ
+_BURST_WRITE = OCPCommand.BURST_WRITE
 
 
 class Request:
@@ -53,17 +57,20 @@ class Request:
         data: ``None`` for reads, an int for WRITE, a list of ints for
             BURST_WRITE (``len == burst_len``).
         burst_len: Number of beats; 1 for single transfers.
+        is_read / is_burst: ``cmd.is_read`` / ``cmd.is_burst``, set once
+            here so the transaction path reads plain fields.
         master_id: Set by the master port when the request is issued.
         uid: Unique id, for tracing and debugging.
         issue_time: Cycle at which the master presented the request.
         accept_time: Cycle at which the command was accepted (wins
             arbitration and is taken by the slave); filled in by the fabric.
-        on_accept: Optional callback the fabric invokes at accept time;
-            used by the master port to notify monitors.
+        monitors: The issuing port's monitor list when it has monitors,
+            else None; the fabric's accept hook notifies them.
     """
 
-    __slots__ = ("cmd", "addr", "data", "burst_len", "master_id", "uid",
-                 "issue_time", "accept_time", "on_accept")
+    __slots__ = ("cmd", "addr", "data", "burst_len", "is_read", "is_burst",
+                 "master_id", "uid", "issue_time", "accept_time",
+                 "monitors")
 
     def __init__(self, cmd: OCPCommand, addr: int,
                  data: Union[None, int, List[int]] = None,
@@ -74,27 +81,35 @@ class Request:
             raise OCPError(f"address 0x{addr:x} outside 32-bit space")
         if burst_len < 1:
             raise OCPError(f"burst_len must be >= 1, got {burst_len}")
-        if cmd.is_burst and burst_len < 2:
-            raise OCPError("burst commands need burst_len >= 2")
-        if not cmd.is_burst and burst_len != 1:
+        is_burst = cmd is _BURST_READ or cmd is _BURST_WRITE
+        if is_burst:
+            if burst_len < 2:
+                raise OCPError("burst commands need burst_len >= 2")
+        elif burst_len != 1:
             raise OCPError("single transfers must have burst_len == 1")
-        if cmd == OCPCommand.WRITE:
+        is_read = cmd is _READ or cmd is _BURST_READ
+        if is_read:
+            if data is not None:
+                raise OCPError(f"{cmd.value} must not carry data")
+        elif cmd is _WRITE:
             if not isinstance(data, int):
                 raise OCPError("WRITE needs a single int data word")
-        elif cmd == OCPCommand.BURST_WRITE:
+        elif cmd is _BURST_WRITE:
             if not isinstance(data, list) or len(data) != burst_len:
                 raise OCPError("BURST_WRITE needs a data list of burst_len words")
-        elif data is not None:
-            raise OCPError(f"{cmd.value} must not carry data")
+        else:
+            raise OCPError(f"unknown OCP command {cmd!r}")
         self.cmd = cmd
         self.addr = addr
         self.data = data
         self.burst_len = burst_len
+        self.is_read = is_read
+        self.is_burst = is_burst
         self.master_id: Optional[int] = None
         self.uid = next(_request_ids)
         self.issue_time: Optional[int] = None
         self.accept_time: Optional[int] = None
-        self.on_accept: Optional[Callable[[], None]] = None
+        self.monitors: Optional[list] = None
 
     @property
     def beat_addresses(self) -> List[int]:

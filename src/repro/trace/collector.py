@@ -21,7 +21,7 @@ class TraceCollector(PortMonitor):
         self.events: List[TraceEvent] = []
 
     def on_request(self, time: int, request: Request) -> None:
-        data = request.data if request.cmd.is_write else None
+        data = None if request.is_read else request.data
         if isinstance(data, list):
             data = list(data)
         self.events.append(TraceEvent(

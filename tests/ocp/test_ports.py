@@ -3,6 +3,7 @@ serialisation."""
 
 import pytest
 
+from repro.interconnect import Fabric
 from repro.kernel import Simulator
 from repro.memory import MemorySlave, SlaveTimings
 from repro.ocp import (
@@ -15,18 +16,16 @@ from repro.ocp import (
 from repro.ocp.types import OCPCommand, Request
 
 
-class _DirectFabric:
+class _DirectFabric(Fabric):
     """Minimal fabric: hands requests straight to one slave port."""
 
     def __init__(self, sim, slave_port):
-        self.sim = sim
+        super().__init__(sim, "direct")
         self.slave_port = slave_port
 
     def transport(self, master_id, request):
-        if request.on_accept:
-            callback, request.on_accept = request.on_accept, None
-            callback()
-        if request.cmd.is_write:
+        self._accept(request)
+        if not request.is_read:
             yield from self.slave_port.access(request)
             return None
         response = yield from self.slave_port.access(request)

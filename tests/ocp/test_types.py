@@ -65,6 +65,20 @@ class TestRequestValidation:
         with pytest.raises(OCPError):
             Request(OCPCommand.READ, 0x100, burst_len=0)
 
+    @pytest.mark.parametrize("cmd, data, burst_len", [
+        (OCPCommand.READ, None, 1),
+        (OCPCommand.WRITE, 7, 1),
+        (OCPCommand.BURST_READ, None, 4),
+        (OCPCommand.BURST_WRITE, [1, 2, 3, 4], 4),
+    ])
+    def test_flag_fields_match_the_command(self, cmd, data, burst_len):
+        req = Request(cmd, 0x100, data, burst_len)
+        assert (req.is_read, req.is_burst) == (cmd.is_read, cmd.is_burst)
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(OCPError, match="unknown OCP command"):
+            Request("RD", 0x100)
+
     def test_beat_addresses(self):
         req = Request(OCPCommand.BURST_READ, 0x100, burst_len=4)
         assert req.beat_addresses == [0x100, 0x104, 0x108, 0x10C]
