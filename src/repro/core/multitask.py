@@ -45,27 +45,20 @@ platform socket.
 
 from typing import List, Optional
 
-from repro.kernel import Component, Simulator
-from repro.core.isa import (
-    Cond,
-    RDREG,
-    TGError,
-    TGOp,
-    TG_NUM_REGS,
-)
+from repro.kernel import Simulator
+from repro.core.isa import TGError, TG_NUM_REGS
 from repro.core.modes import ReplayMode
 from repro.core.program import TGProgram
-from repro.ocp import OCPMasterPort
+from repro.core.tg_master import TGMaster
 
 SCHEDULERS = ("timeslice", "sleep", "priority")
 
 
 class _Task:
-    """Execution context of one task program."""
+    """Interpreter context of one task program (see :meth:`TGMaster._run`)."""
 
-    __slots__ = ("task_id", "program", "regs", "pc", "halted",
-                 "pending_idle", "wake_time", "completion_time",
-                 "instructions_executed")
+    __slots__ = ("task_id", "program", "regs", "pc", "halted", "halt_time",
+                 "pending_idle", "wake_time", "instructions_executed")
 
     def __init__(self, task_id: int, program: TGProgram):
         self.task_id = task_id
@@ -73,9 +66,9 @@ class _Task:
         self.regs = [0] * TG_NUM_REGS
         self.pc = 0
         self.halted = False
-        self.pending_idle = 0
+        self.halt_time: Optional[int] = None
+        self.pending_idle = 0  # the unslept remainder of the current Idle
         self.wake_time: Optional[int] = None  # sleeping until this cycle
-        self.completion_time: Optional[int] = None
         self.instructions_executed = 0
 
     def runnable(self, now: int) -> bool:
@@ -86,17 +79,31 @@ class _Task:
         return True
 
 
-class MultitaskTGMaster(Component):
+class MultitaskTGMaster(TGMaster):
     """One master socket running several TG task programs under an OS model.
 
+    The tasks run on :meth:`TGMaster._run`, one scheduling episode at a
+    time; this class is the scheduler it consults.  Transactions go
+    through the TG's own transaction path, so error responses are
+    counted as on a single TG (with no retry policy and no watchdog).
+
     Args:
-        programs: The task programs (reactive/timeshifting only; cloning
-            tasks have their own issue engine and are rejected).
-        scheduler: ``"timeslice"`` or ``"sleep"``.
+        programs: The task programs.  Cloning-mode programs (which need an
+            issue queue of their own) and ``ReadNB``/``Fence`` (whose
+            outstanding reads belong to one program) are rejected.
+        scheduler: ``"timeslice"``, ``"sleep"`` or ``"priority"``.
         timeslice: Quantum in cycles (timeslice policy).
         context_switch_cycles: Cost of each task switch.
-        sleep_threshold: Minimum ``Idle`` treated as a sleep (sleep policy).
+        sleep_threshold: Minimum ``Idle`` treated as a sleep (sleep and
+            priority policies).
+        priorities: Static priority per program, higher runs first
+            (priority policy; default all equal).
     """
+
+    # the task contexts are in no snapshot format: the platform refuses
+    # to checkpoint this master, as it does a core
+    state_dict = None
+    load_state = None
 
     def __init__(self, sim: Simulator, name: str,
                  programs: List[TGProgram],
@@ -105,7 +112,6 @@ class MultitaskTGMaster(Component):
                  context_switch_cycles: int = 4,
                  sleep_threshold: int = 16,
                  priorities: Optional[List[int]] = None):
-        super().__init__(sim, name)
         if not programs:
             raise TGError("need at least one task program")
         if priorities is not None and len(priorities) != len(programs):
@@ -121,7 +127,12 @@ class MultitaskTGMaster(Component):
             program.validate()
             if program.mode is ReplayMode.CLONING:
                 raise TGError("cloning-mode programs cannot be multitasked")
-        self.port = OCPMasterPort(sim, f"{name}.ocp")
+            unsupported = sorted({"READ_NB", "FENCE"}
+                                 & set(program.stats()["histogram"]))
+            if unsupported:
+                raise TGError(f"multitask TG cannot execute "
+                              f"{', '.join(unsupported)}")
+        self._init_socket(sim, name, None, None)
         self.scheduler = scheduler
         self.timeslice = timeslice
         self.context_switch_cycles = context_switch_cycles
@@ -132,28 +143,19 @@ class MultitaskTGMaster(Component):
         self.priorities = list(priorities) if priorities is not None \
             else [0] * len(programs)
         self.context_switches = 0
-        self.halted = False
-        self.halt_time: Optional[int] = None
-        self._process = None
         self._current: Optional[_Task] = None
         self._rr_index = 0
+        self._slice_end = 0  # the running task's quantum expires here
 
     # ------------------------------------------------------------- surface
 
     def start(self) -> None:
-        self._process = self.sim.spawn(self._run(), name=f"{self.name}.os")
-
-    @property
-    def finished(self) -> bool:
-        return self.halted
-
-    @property
-    def completion_time(self) -> Optional[int]:
-        return self.halt_time
+        self._process = self.sim.spawn(self._schedule(),
+                                       name=f"{self.name}.os")
 
     @property
     def task_completion_times(self) -> List[Optional[int]]:
-        return [task.completion_time for task in self.tasks]
+        return [task.halt_time for task in self.tasks]
 
     # ------------------------------------------------------------ scheduler
 
@@ -176,117 +178,59 @@ class MultitaskTGMaster(Component):
                 return task
         return None
 
-    def _higher_priority_runnable(self, current: _Task) -> bool:
-        level = self.priorities[current.task_id]
-        return any(self.priorities[task.task_id] > level
-                   and task.runnable(self.sim.now)
-                   for task in self.tasks if task is not current)
-
-    def _earliest_wake(self) -> Optional[int]:
-        times = [task.wake_time for task in self.tasks
-                 if not task.halted and task.wake_time is not None]
-        return min(times) if times else None
-
-    def _run(self):
-        while True:
-            if all(task.halted for task in self.tasks):
-                break
+    def _schedule(self):
+        """The OS: run one episode of the chosen task at a time."""
+        tasks = self.tasks
+        while not all(task.halted for task in tasks):
             task = self._pick_next()
             if task is None:
                 # every live task is sleeping: idle until the first wake
-                wake = self._earliest_wake()
-                if wake is None:  # pragma: no cover - defensive
-                    raise TGError(f"{self.name}: live tasks but no wake time")
-                if wake > self.sim.now:
-                    yield wake - self.sim.now
+                yield min(t.wake_time for t in tasks
+                          if not t.halted) - self.sim.now
                 continue
             if self._current is not task:
-                if self._current is not None and self.context_switch_cycles:
-                    yield self.context_switch_cycles
                 if self._current is not None:
+                    if self.context_switch_cycles:
+                        yield self.context_switch_cycles
                     self.context_switches += 1
                 self._current = task
             task.wake_time = None
-            yield from self._run_task(task)
+            self._slice_end = self.sim.now + self.timeslice
+            yield from self._run(task, self)
         self.halted = True
         self.halt_time = self.sim.now
 
-    def _run_task(self, task: _Task):
-        """Run one scheduling episode of ``task``."""
-        quantum = self.timeslice
-        while not task.halted:
-            if self.scheduler == "timeslice" and quantum <= 0 \
-                    and self._other_runnable(task):
-                return  # quantum expired
-            if self.scheduler == "priority" \
-                    and self._higher_priority_runnable(task):
-                return  # preempted by a higher-priority wake-up
-            start = self.sim.now
-            slept = yield from self._step(task, quantum)
-            quantum -= self.sim.now - start
-            if slept:
-                return  # task went to sleep; schedule someone else
-        task.completion_time = self.sim.now
-
-    def _other_runnable(self, current: _Task) -> bool:
-        return any(task is not current and task.runnable(self.sim.now)
-                   for task in self.tasks)
-
-    # ----------------------------------------------------------- execution
-
-    def _step(self, task: _Task, quantum: int):
-        """Execute one instruction (or an idle slice); returns True when
-        the task transitioned to the sleep state."""
-        if task.pending_idle > 0:
-            # resume a sliced idle: run up to the remaining quantum
-            slice_ = task.pending_idle
-            if self.scheduler == "timeslice":
-                slice_ = min(slice_, max(1, quantum))
-            task.pending_idle -= slice_
-            yield slice_
-            return False
-        instr = task.program.instructions[task.pc]
-        task.pc += 1
-        task.instructions_executed += 1
-        op = instr.op
-        regs = task.regs
-        if op == TGOp.IDLE:
-            if (self.scheduler in ("sleep", "priority")
-                    and instr.imm >= self.sleep_threshold):
-                # sleep until the "interrupt" at the recorded time
-                task.wake_time = self.sim.now + instr.imm
-                return True
-            if instr.imm:
-                # the idle is divisible: pending_idle carries the unslept
-                # remainder across preemptions
-                task.pending_idle = instr.imm
-                slice_ = task.pending_idle
-                if self.scheduler == "timeslice":
-                    slice_ = min(slice_, max(1, quantum))
-                task.pending_idle -= slice_
-                yield slice_
-        elif op == TGOp.SET_REGISTER:
-            regs[instr.a] = instr.imm
-            yield 1
-        elif op == TGOp.READ:
-            regs[RDREG] = yield from self.port.read(regs[instr.a])
-        elif op == TGOp.WRITE:
-            yield from self.port.write(regs[instr.a], regs[instr.b])
-        elif op == TGOp.BURST_READ:
-            words = yield from self.port.burst_read(regs[instr.a], instr.b)
-            regs[RDREG] = words[-1]
-        elif op == TGOp.BURST_WRITE:
-            data = task.program.pool[instr.imm:instr.imm + instr.b]
-            yield from self.port.burst_write(regs[instr.a], data)
-        elif op == TGOp.IF:
-            if Cond(instr.cond).evaluate(regs[instr.a], regs[instr.b]):
-                task.pc = instr.imm
-            yield 1
-        elif op == TGOp.JUMP:
-            task.pc = instr.imm
-            yield 1
-        elif op == TGOp.HALT:
-            task.halted = True
-        else:
-            raise TGError(f"multitask TG cannot execute {op.name}")
+    def preempts(self, task: _Task) -> bool:
+        """Whether ``task`` yields the processor at this instruction
+        boundary: its quantum expired with another task runnable, or a
+        higher-priority task woke.  An OCP transaction in flight is never
+        preempted (the bus transfer must finish)."""
+        now = self.sim.now
+        if self.scheduler == "timeslice":
+            return now >= self._slice_end and any(
+                other is not task and other.runnable(now)
+                for other in self.tasks)
+        if self.scheduler == "priority":
+            level = self.priorities[task.task_id]
+            return any(self.priorities[other.task_id] > level
+                       and other.runnable(now)
+                       for other in self.tasks if other is not task)
         return False
+
+    def idle_slice(self, task: _Task) -> int:
+        """Cycles ``task`` idles next out of its ``pending_idle``.
+
+        Timeslice: at most the rest of the quantum (at least one cycle),
+        so the timer interrupt preempts a long idle.  Sleep and priority:
+        the whole idle, or 0 when it is at least ``sleep_threshold`` long
+        and the task sleeps until the recorded time instead.
+        """
+        idle = task.pending_idle
+        if self.scheduler == "timeslice":
+            idle = min(idle, max(1, self._slice_end - self.sim.now))
+        elif idle >= self.sleep_threshold:
+            task.pending_idle = 0
+            task.wake_time = self.sim.now + idle
+            return 0
+        task.pending_idle -= idle
+        return idle

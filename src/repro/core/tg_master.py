@@ -17,6 +17,11 @@ drains in order, modelling a dumb replay device with an outbound FIFO.
 The program's own timing then ignores response feedback entirely — the
 behaviour Section 3 shows to be inadequate — and the ablation benchmark
 measures how wrong it gets.
+
+:meth:`TGMaster._run` is the one TG interpreter.  It runs the program of
+an explicit context — the TG itself, or one task of a
+:class:`~repro.core.multitask.MultitaskTGMaster`, whose OS scheduler it
+consults at instruction boundaries and on ``Idle``.
 """
 
 from typing import Dict, Optional
@@ -83,22 +88,30 @@ class TGMaster(Component):
     def __init__(self, sim: Simulator, name: str, program: TGProgram,
                  retry_policy: Optional[RetryPolicy] = None,
                  watchdog_cycles: Optional[int] = None):
-        super().__init__(sim, name)
         # a comparison only, for a program validated where it was made
         program.validate()
         if watchdog_cycles is not None and watchdog_cycles < 1:
             raise TGError(f"watchdog_cycles must be >= 1, "
                           f"got {watchdog_cycles}")
+        self._init_socket(sim, name, retry_policy, watchdog_cycles)
+        # the TG is the interpreter context of its own single program
         self.program = program
         self._program_crc: Optional[str] = None
+        self.regs = [0] * TG_NUM_REGS
+        self.pc = 0
+        self.instructions_executed = 0
+
+    def _init_socket(self, sim: Simulator, name: str,
+                     retry_policy: Optional[RetryPolicy],
+                     watchdog_cycles: Optional[int]) -> None:
+        """State of the master socket, shared by every context it runs:
+        the port, completion, transaction counters and helper processes."""
+        Component.__init__(self, sim, name)
         self.retry_policy = retry_policy
         self.watchdog_cycles = watchdog_cycles
         self.port = OCPMasterPort(sim, f"{name}.ocp")
-        self.regs = [0] * TG_NUM_REGS
-        self.pc = 0
         self.halted = False
         self.halt_time: Optional[int] = None
-        self.instructions_executed = 0
         self.max_outstanding_observed = 0
         self.error_responses = 0
         self.ocp_transactions = 0
@@ -129,7 +142,8 @@ class TGMaster(Component):
             self._issue_fifo = self.sim.fifo(name=f"{self.name}.issueq")
             self._issuer = self.sim.spawn(self._issue_process(),
                                           name=f"{self.name}.issuer")
-        self._process = self.sim.spawn(self._run(), name=f"{self.name}.run")
+        self._process = self.sim.spawn(self._run(self),
+                                       name=f"{self.name}.run")
 
     @property
     def process(self):
@@ -284,7 +298,7 @@ class TGMaster(Component):
         if self.halted:
             raise SnapshotError(
                 f"{self.name}: snapshot re-arms a halted TG")
-        self._process = sim.spawn(self._run(), name=f"{self.name}.run",
+        self._process = sim.spawn(self._run(self), name=f"{self.name}.run",
                                   delay=at - sim.now)
 
     def owned_idle_processes(self):
@@ -394,17 +408,40 @@ class TGMaster(Component):
 
     # ----------------------------------------------------------- execution
 
-    def _run(self):
-        instructions = self.program.instructions
-        pool = self.program.pool
-        cloning = self.program.mode is ReplayMode.CLONING
-        regs = self.regs
+    def _run(self, ctx, scheduler=None):
+        """Interpret the program of context ``ctx`` until it halts.
+
+        ``ctx`` is this TG, or a task of a multitask socket: it holds
+        ``program``, ``regs``, ``pc``, ``instructions_executed``,
+        ``halted`` and ``halt_time``.  ``scheduler`` is None for a single
+        TG.  Otherwise, at every instruction boundary it may preempt
+        ``ctx``, and an ``Idle`` becomes the context's ``pending_idle``,
+        which the scheduler hands out in slices or turns into a sleep.
+        A preemption or a sleep ends this episode early, returning None.
+        """
+        program = ctx.program
+        instructions = program.instructions
+        pool = program.pool
+        cloning = program.mode is ReplayMode.CLONING
+        regs = ctx.regs
+        # under a scheduler no op equals ``idle_op``, so an Idle falls
+        # through to the scheduler's branch at the end of the chain
+        idle_op = _IDLE if scheduler is None else None
         while True:
-            instr = instructions[self.pc]
-            self.pc += 1
-            self.instructions_executed += 1
+            if scheduler is not None:
+                if scheduler.preempts(ctx):
+                    return None
+                if ctx.pending_idle:
+                    idle = scheduler.idle_slice(ctx)
+                    if not idle:
+                        return None  # asleep until its wake time
+                    yield idle
+                    continue
+            instr = instructions[ctx.pc]
+            ctx.pc += 1
+            ctx.instructions_executed += 1
             op = instr.op
-            if op == _IDLE:
+            if op == idle_op:
                 if instr.imm:
                     yield instr.imm
             elif op == _SET_REGISTER:
@@ -413,7 +450,7 @@ class TGMaster(Component):
             elif op == _READ:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (_READ, regs[instr.a], None))
+                        (_CMD_READ, regs[instr.a], None, 1))
                 else:
                     response = yield from self._transact(_CMD_READ,
                                                          regs[instr.a])
@@ -421,34 +458,34 @@ class TGMaster(Component):
             elif op == _WRITE:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (_WRITE, regs[instr.a], regs[instr.b]))
+                        (_CMD_WRITE, regs[instr.a], regs[instr.b], 1))
                 else:
                     yield from self._transact(_CMD_WRITE,
                                               regs[instr.a], regs[instr.b])
             elif op == _BURST_READ:
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (_BURST_READ, regs[instr.a], instr.b))
+                        (_CMD_BURST_READ, regs[instr.a], None, instr.b))
                 else:
                     response = yield from self._transact(
                         _CMD_BURST_READ, regs[instr.a],
                         burst_len=instr.b)
                     regs[RDREG] = response.words[-1]
             elif op == _BURST_WRITE:
-                data = pool[instr.imm:instr.imm + instr.b]
+                data = list(pool[instr.imm:instr.imm + instr.b])
                 if cloning:
                     yield from self._issue_fifo.put(
-                        (_BURST_WRITE, regs[instr.a], data))
+                        (_CMD_BURST_WRITE, regs[instr.a], data, len(data)))
                 else:
                     yield from self._transact(
-                        _CMD_BURST_WRITE, regs[instr.a], list(data),
+                        _CMD_BURST_WRITE, regs[instr.a], data,
                         burst_len=len(data))
             elif op == _READ_NB:
                 # out-of-order extension: the read retires in the
                 # background; the program continues after a 1-cycle issue
                 reader = self.sim.spawn(
                     self._transact(_CMD_READ, regs[instr.a]),
-                    name=f"{self.name}.nb#{self.instructions_executed}")
+                    name=f"{self.name}.nb#{ctx.instructions_executed}")
                 self._outstanding.append(reader)
                 self.max_outstanding_observed = max(
                     self.max_outstanding_observed,
@@ -461,10 +498,10 @@ class TGMaster(Component):
                 self._outstanding = []
             elif op == _IF:
                 if Cond(instr.cond).evaluate(regs[instr.a], regs[instr.b]):
-                    self.pc = instr.imm
+                    ctx.pc = instr.imm
                 yield 1
             elif op == _JUMP:
-                self.pc = instr.imm
+                ctx.pc = instr.imm
                 yield 1
             elif op == _HALT:
                 # implicit fence: completion means all traffic retired
@@ -473,39 +510,32 @@ class TGMaster(Component):
                         yield reader
                 self._outstanding = []
                 break
+            elif op == _IDLE:
+                ctx.pending_idle = instr.imm  # the scheduler's to spend
             else:  # pragma: no cover - validate() rejects unknown ops
                 raise TGError(f"bad opcode {op}")
         if cloning:
             # completion = program done AND issue queue drained
             yield from self._issue_fifo.put(None)
             yield self._issuer
-        self.halted = True
-        self.halt_time = self.sim.now
-        return self.halt_time
+        ctx.halted = True
+        ctx.halt_time = self.sim.now
+        return ctx.halt_time
 
     def _issue_process(self):
         """CLONING mode: drain queued transactions in order.
 
-        Operands are snapshots taken when the program executed the
-        instruction, since the program races ahead and may rewrite its
-        address/data registers before the queue drains.
+        Each entry holds :meth:`_transact`'s arguments, operands
+        snapshotted when the program executed the instruction, since the
+        program races ahead and may rewrite its address/data registers
+        before the queue drains.  A read leaves its last beat in
+        ``RDREG``.
         """
         regs = self.regs
         while True:
             entry = yield from self._issue_fifo.get()
             if entry is None:
                 return
-            op, addr, operand = entry
-            if op == _READ:
-                response = yield from self._transact(_CMD_READ, addr)
-                regs[RDREG] = response.word
-            elif op == _WRITE:
-                yield from self._transact(_CMD_WRITE, addr, operand)
-            elif op == _BURST_READ:
-                response = yield from self._transact(
-                    _CMD_BURST_READ, addr, burst_len=operand)
+            response = yield from self._transact(*entry)
+            if response is not None:
                 regs[RDREG] = response.words[-1]
-            elif op == _BURST_WRITE:
-                yield from self._transact(_CMD_BURST_WRITE, addr,
-                                          list(operand),
-                                          burst_len=len(operand))

@@ -20,7 +20,8 @@ class STBusFabric(Fabric):
     """Partial-crossbar fabric with per-slave channels.
 
     Args:
-        arbiter_policy: Arbitration at each slave channel.
+        arbiter_policy: Arbitration at each slave channel, ``"fixed"`` or
+            ``"round_robin"``; any other name raises ``SimulationError``.
         request_latency: Master → slave-channel path delay.
         response_latency: Slave → master return path delay.
     """
@@ -32,6 +33,10 @@ class STBusFabric(Fabric):
                  request_latency: int = 1,
                  response_latency: int = 1):
         super().__init__(sim, name, address_map)
+        # channel arbiters are built on first use; build one now so a bad
+        # policy fails here, as on AHB (``tdma`` too: it gets no slot table)
+        make_arbiter(arbiter_policy, sim,
+                     arbitration_cycles=arbitration_cycles)
         self.arbiter_policy = arbiter_policy
         self.arbitration_cycles = arbitration_cycles
         self.request_latency = request_latency

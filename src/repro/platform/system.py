@@ -197,8 +197,8 @@ class MparmPlatform:
         from repro.artifacts.errors import SnapshotError
         components: Dict[str, object] = {}
         for master_id, master in enumerate(self.masters):
-            if not hasattr(master, "state_dict") \
-                    or not hasattr(master, "load_state"):
+            if getattr(master, "state_dict", None) is None \
+                    or getattr(master, "load_state", None) is None:
                 raise SnapshotError(
                     f"master {getattr(master, 'name', master_id)!r} is "
                     f"not checkpointable",

@@ -11,6 +11,7 @@ from repro.core import (
     TGOp,
     TGProgram,
 )
+from repro.artifacts.errors import SnapshotError
 from repro.core.isa import ADDRREG, DATAREG
 from repro.platform import MparmPlatform, PlatformConfig, SHARED_BASE
 
@@ -65,6 +66,15 @@ class TestValidation:
         program.mode = ReplayMode.CLONING
         with pytest.raises(TGError):
             MultitaskTGMaster(platform.sim, "mt", [program])
+
+    def test_fence_rejected(self):
+        """Out-of-order ops need the single TG's reader bookkeeping; a
+        task program holding one is refused before the run starts."""
+        platform = MparmPlatform(PlatformConfig(n_masters=1))
+        program = TGProgram(core_id=0, instructions=[
+            I(TGOp.FENCE), I(TGOp.HALT)])
+        with pytest.raises(TGError, match="FENCE"):
+            MultitaskTGMaster(platform.sim, "mt", [idle_task(), program])
 
     def test_bad_quantum(self):
         platform = MparmPlatform(PlatformConfig(n_masters=1))
@@ -215,3 +225,14 @@ class TestConsolidation:
         assert multitask.finished
         assert all(t is not None
                    for t in multitask.task_completion_times)
+
+
+class TestCheckpointRefused:
+    def test_snapshot_refuses_multitask_master(self):
+        """The socket holds several task contexts that no snapshot format
+        describes, so it stays outside checkpoint/restore."""
+        platform, _ = build([writer_task(0, [1, 2]), idle_task(100)])
+        platform.run(until=20)
+        with pytest.raises(SnapshotError,
+                           match="master 'mt0' is not checkpointable"):
+            platform.snapshot()

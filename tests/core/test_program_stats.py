@@ -61,7 +61,7 @@ class TestTgdumpStats:
 
 
 class TestMultitaskOooRejection:
-    def test_multitask_rejects_ooo_ops_at_runtime(self):
+    def test_multitask_rejects_ooo_ops_at_construction(self):
         from repro.core import MultitaskTGMaster, TGError
         from repro.platform import MparmPlatform, PlatformConfig
         program = TGProgram(core_id=0, instructions=[
@@ -70,7 +70,5 @@ class TestMultitaskOooRejection:
             I(TGOp.HALT),
         ])
         platform = MparmPlatform(PlatformConfig(n_masters=1))
-        multitask = MultitaskTGMaster(platform.sim, "mt", [program])
-        platform.add_master(multitask)
         with pytest.raises(TGError):
-            platform.run()
+            MultitaskTGMaster(platform.sim, "mt", [program])

@@ -3,8 +3,15 @@ watchdogs — against full platforms and hand-wired systems."""
 
 import pytest
 
-from repro.core import TGMaster, TGProgram
-from repro.core.isa import ADDRREG, RDREG, TGError, TGInstruction, TGOp
+from repro.core import MultitaskTGMaster, TGMaster, TGProgram
+from repro.core.isa import (
+    ADDRREG,
+    DATAREG,
+    RDREG,
+    TGError,
+    TGInstruction,
+    TGOp,
+)
 from repro.faults import ERROR_DATA, RetryPolicy
 from repro.kernel import Simulator, WatchdogTimeout
 from repro.memory.slave import MemorySlave, SlaveTimings
@@ -171,3 +178,60 @@ class TestWatchdog:
         assert guarded.finished
         assert guarded.watchdog_trips == 0
         assert guarded.completion_time == plain.completion_time
+
+
+class TestMultitaskErrorResponses:
+    """A multitask socket issues through the TG's one transaction path,
+    so an error response on a task's read is counted as on a single TG;
+    with no retry policy it changes neither timing nor events."""
+
+    EVERY_THIRD_READ_ERRORS = {"slave_errors": [{"slave": "shared",
+                                                 "nth": 3}]}
+
+    @staticmethod
+    def rw_task(slot):
+        base = SHARED_BASE + slot * 0x100
+        code = []
+        for i in range(6):
+            code += [TGInstruction(TGOp.SET_REGISTER, a=ADDRREG,
+                                   imm=base + 4 * i),
+                     TGInstruction(TGOp.SET_REGISTER, a=DATAREG,
+                                   imm=slot * 16 + i),
+                     TGInstruction(TGOp.WRITE, a=ADDRREG, b=DATAREG),
+                     TGInstruction(TGOp.READ, a=ADDRREG),
+                     TGInstruction(TGOp.IDLE, imm=3 + 7 * slot)]
+        code += [TGInstruction(TGOp.SET_REGISTER, a=ADDRREG, imm=base),
+                 TGInstruction(TGOp.BURST_READ, a=ADDRREG, b=4),
+                 TGInstruction(TGOp.HALT)]
+        return TGProgram(core_id=0, instructions=code)
+
+    # (completion, task completions, switches, events fired); recorded
+    # when the multitask socket had an interpreter of its own
+    @pytest.mark.parametrize("scheduler,settings,expected", [
+        ("timeslice", {"timeslice": 8, "context_switch_cycles": 2},
+         (246, [185, 246], 15, 208)),
+        ("sleep", {"sleep_threshold": 5, "context_switch_cycles": 2},
+         (218, [87, 218], 1, 171)),
+    ])
+    def test_errors_counted_on_unchanged_schedule(self, scheduler,
+                                                  settings, expected):
+        platform = MparmPlatform(PlatformConfig(
+            n_masters=2, fault_spec=self.EVERY_THIRD_READ_ERRORS,
+            fault_seed=11))
+        multitask = MultitaskTGMaster(
+            platform.sim, "mt", [self.rw_task(0), self.rw_task(1)],
+            scheduler=scheduler, **settings)
+        platform.add_master(multitask)
+        platform.add_master(TGMaster(platform.sim, "filler", TGProgram(
+            core_id=1, instructions=[TGInstruction(TGOp.HALT)])))
+        platform.run()
+        assert (multitask.completion_time, multitask.task_completion_times,
+                multitask.context_switches,
+                platform.sim.events_fired) == expected
+        summary = platform.stats_summary()
+        assert summary["fabric_transactions"] == 26
+        resilience = summary["resilience"]
+        assert resilience["slave_errors_injected"] == 4
+        assert resilience["error_responses"] == 4
+        assert resilience["retries"] == 0
+        assert multitask.ocp_transactions == 26

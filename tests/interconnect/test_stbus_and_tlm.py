@@ -3,11 +3,14 @@
 import sys
 from pathlib import Path
 
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import MEM_BASE, MEM2_BASE, TinySystem
 
+from repro.kernel import SimulationError
 from repro.memory import SlaveTimings
+from repro.platform import MparmPlatform, PlatformConfig
 
 
 class TestSTBusConcurrency:
@@ -67,6 +70,30 @@ class TestSTBusConcurrency:
         system.sim.spawn(script(system.ports[1], "second", 1))
         system.run()
         assert accepts["second"] >= accepts["first"] + 20
+
+
+BAD_POLICIES = [
+    ("tdma", "TDMA needs a non-empty slot table"),
+    ("lottery", "unknown arbiter policy 'lottery'"),
+]
+
+
+class TestSTBusArbiterPolicy:
+    """A policy the per-slave channels cannot run fails at construction,
+    with the error ``make_arbiter`` raises for AHB, not at the first
+    transaction."""
+
+    @pytest.mark.parametrize("policy,message", BAD_POLICIES)
+    def test_fabric_rejects_policy(self, policy, message):
+        with pytest.raises(SimulationError, match=message):
+            TinySystem("stbus", arbiter_policy=policy)
+
+    @pytest.mark.parametrize("policy,message", BAD_POLICIES)
+    def test_platform_rejects_policy(self, policy, message):
+        config = PlatformConfig(n_masters=1, interconnect="stbus",
+                                fabric_kwargs={"arbiter_policy": policy})
+        with pytest.raises(SimulationError, match=message):
+            MparmPlatform(config)
 
 
 class TestTlmFabric:
